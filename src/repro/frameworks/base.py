@@ -106,6 +106,8 @@ class TrainSpec:
             raise ValueError("train_batch_size must be positive")
         if self.n_envs < 1:
             raise ValueError("n_envs must be >= 1")
+        if self.eval_episodes < 1:
+            raise ValueError("eval_episodes must be >= 1")
 
     @property
     def vector_rollouts(self) -> bool:
@@ -1144,12 +1146,12 @@ class Framework:
 
         All ``eval_episodes`` episodes run as one vector env (episode
         ``e`` seeded ``1_000_000 + e`` exactly as the serial loop seeds
-        its resets). Actions are computed per env with the serial
-        ``(1, obs_dim)`` act shape — deterministic acting draws no
-        randomness, so per-row calls are order-free and the policy
-        forward pass hits the same gemv kernel as the serial path — while
-        the expensive physics step is batched across the episodes still
-        running.
+        its resets). Each env step makes one ``act`` call over every
+        episode still running. Deterministic acting draws no randomness
+        and is row-exact (:meth:`repro.rl.nn.MLP.forward_rows`): each
+        episode gets the action the serial loop's one-row call computes,
+        whichever episodes share the batch. Finished episodes keep their
+        last action and their results are ignored.
         """
         venv = make_vec(spec.env_id, spec.eval_episodes, **spec.env_kwargs)
         map_action = _space_action_mapper(venv.single_action_space)
@@ -1161,10 +1163,10 @@ class Framework:
         returns = [0.0] * n
         actions = np.zeros((n, act_dim))
         while not finished.all():
-            for i in np.flatnonzero(~finished):
-                actions[i] = agent.act(obs[i][None], deterministic=True)["action"][0]
+            live = np.flatnonzero(~finished)
+            actions[live] = agent.act(obs[live], deterministic=True)["action"]
             obs, rewards, terms, truncs, infos = venv.step(map_action(actions))
-            for i in np.flatnonzero(~finished):
+            for i in live:
                 returns[i] += float(rewards[i])
                 if "landing_score" in infos[i]:
                     scores[i] = infos[i]["landing_score"]

@@ -33,7 +33,9 @@ class Agent:
         """Select actions for a batch of observations.
 
         Returns a dict with at least ``'action'``; on-policy agents also
-        return ``'log_prob'`` and ``'value'``.
+        return ``'log_prob'`` and ``'value'``. Deterministic actions are
+        row-exact: row ``i`` is bit-identical to acting on
+        ``observations[i:i + 1]`` alone, whatever else the batch holds.
         """
         raise NotImplementedError
 

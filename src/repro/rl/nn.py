@@ -14,7 +14,8 @@ Design:
 * :class:`Dense`, :class:`Tanh`, :class:`ReLU` — layers with
   ``forward``/``backward``.
 * :class:`MLP` — a layer pipeline with convenience constructors, gradient
-  zeroing, parameter iteration and state-dict (de)serialization.
+  zeroing, parameter iteration and state-dict (de)serialization; its
+  row-exact :meth:`MLP.forward_rows` serves deterministic acting.
 
 The backward pass of each layer consumes ``dL/d(output)`` and returns
 ``dL/d(input)``, accumulating parameter gradients as a side effect — so
@@ -119,7 +120,8 @@ class Tanh(Layer):
         return self._y
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        assert self._y is not None, "backward called before forward"
+        if self._y is None:
+            raise RuntimeError("backward called before forward")
         return dout * (1.0 - self._y * self._y)
 
 
@@ -132,7 +134,8 @@ class ReLU(Layer):
         return np.where(self._mask, x, 0.0)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        assert self._mask is not None, "backward called before forward"
+        if self._mask is None:
+            raise RuntimeError("backward called before forward")
         return dout * self._mask
 
 
@@ -206,6 +209,22 @@ class MLP:
         for layer in self.layers:
             x = layer.forward(x)
         return x
+
+    def forward_rows(self, x: np.ndarray) -> np.ndarray:
+        """Row-exact forward pass: row ``i`` equals ``forward(x[i:i+1])`` bit for bit.
+
+        A ``(batch, in_dim)`` product goes to BLAS gemm, whose blocking can
+        round a row differently from the gemv a single-row product uses.
+        Here every row travels as its own ``(1, features)`` matrix of a
+        ``(batch, 1, features)`` stack, so numpy's stacked matmul runs the
+        single-row gemv once per row (the form ``ButcherTableau.step`` uses
+        for the same reason) and no row depends on the rest of the batch.
+        For acting only: it leaves no layer caches fit for :meth:`backward`.
+        """
+        x = np.atleast_2d(np.asarray(x, dtype=np.float64))[:, None, :]
+        for layer in self.layers:
+            x = layer.forward(x)
+        return x[:, 0, :]
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x)

@@ -104,10 +104,12 @@ class PPOAgent(Agent):
         self, observations: np.ndarray, deterministic: bool = False
     ) -> dict[str, np.ndarray]:
         observations = np.atleast_2d(np.asarray(observations, dtype=np.float64))
-        mean = self.actor.forward(observations)
+        # deterministic rows never depend on what else shares the batch
+        forward = MLP.forward_rows if deterministic else MLP.forward
+        mean = forward(self.actor, observations)
         dist = DiagGaussian(mean, self.log_std.value)
         actions = dist.mode() if deterministic else dist.sample(self.rng)
-        values = self.critic.forward(observations)[:, 0]
+        values = forward(self.critic, observations)[:, 0]
         return {
             "action": actions,
             "log_prob": dist.log_prob(actions),
@@ -287,12 +289,14 @@ class CategoricalPPOAgent(Agent):
         self, observations: np.ndarray, deterministic: bool = False
     ) -> dict[str, np.ndarray]:
         observations = np.atleast_2d(np.asarray(observations, dtype=np.float64))
-        dist = Categorical(self.actor.forward(observations))
+        # deterministic rows never depend on what else shares the batch
+        forward = MLP.forward_rows if deterministic else MLP.forward
+        dist = Categorical(forward(self.actor, observations))
         actions = dist.mode() if deterministic else dist.sample(self.rng)
         return {
             "action": actions,
             "log_prob": dist.log_prob(actions),
-            "value": self.critic.forward(observations)[:, 0],
+            "value": forward(self.critic, observations)[:, 0],
         }
 
     def value(self, observations: np.ndarray) -> np.ndarray:

@@ -154,8 +154,9 @@ class SACAgent(Agent):
             return float(self.config.alpha)
         return float(np.exp(self._log_alpha.value[0]))
 
-    def _policy_dist(self, observations: np.ndarray) -> TanhGaussian:
-        out = self.policy.forward(observations)
+    def _policy_dist(self, observations: np.ndarray, row_exact: bool = False) -> TanhGaussian:
+        forward = MLP.forward_rows if row_exact else MLP.forward
+        out = forward(self.policy, observations)
         mean, log_std = out[:, : self.act_dim], out[:, self.act_dim :]
         return TanhGaussian(mean, log_std)
 
@@ -167,7 +168,8 @@ class SACAgent(Agent):
             # uniform warmup, the framework-default exploration phase
             actions = self.rng.uniform(-1.0, 1.0, size=(len(observations), self.act_dim))
             return {"action": actions}
-        dist = self._policy_dist(observations)
+        # deterministic rows never depend on what else shares the batch
+        dist = self._policy_dist(observations, row_exact=deterministic)
         if deterministic:
             return {"action": dist.mode()}
         return {"action": dist.rsample(self.rng)["action"]}

@@ -136,12 +136,14 @@ class VTraceAgent(Agent):
         self, observations: np.ndarray, deterministic: bool = False
     ) -> dict[str, np.ndarray]:
         observations = np.atleast_2d(np.asarray(observations, dtype=np.float64))
-        dist = DiagGaussian(self.actor.forward(observations), self.log_std.value)
+        # deterministic rows never depend on what else shares the batch
+        forward = MLP.forward_rows if deterministic else MLP.forward
+        dist = DiagGaussian(forward(self.actor, observations), self.log_std.value)
         actions = dist.mode() if deterministic else dist.sample(self.rng)
         return {
             "action": actions,
             "log_prob": dist.log_prob(actions),
-            "value": self.critic.forward(observations)[:, 0],
+            "value": forward(self.critic, observations)[:, 0],
         }
 
     def value(self, observations: np.ndarray) -> np.ndarray:

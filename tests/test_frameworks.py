@@ -77,6 +77,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             TrainSpec(total_steps=0)
 
+    def test_eval_episodes_must_be_positive(self):
+        # rejected before training: with no episode the serial evaluator
+        # returned nan and the batched one raised after the whole run
+        with pytest.raises(ValueError, match="eval_episodes"):
+            TrainSpec(eval_episodes=0)
+
 
 class TestLayouts:
     def test_rllib_layout_spreads_workers(self):

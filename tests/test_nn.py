@@ -61,8 +61,14 @@ class TestLayers:
         assert y.shape == (4, 2)
         assert np.allclose(y, x @ layer.w.value + layer.b.value)
 
-    def test_dense_backward_before_forward_raises(self, rng):
-        layer = Dense(3, 2, rng)
+    @pytest.mark.parametrize(
+        "make_layer",
+        [lambda rng: Dense(3, 2, rng), lambda rng: Tanh(), lambda rng: ReLU()],
+        ids=["Dense", "Tanh", "ReLU"],
+    )
+    def test_dense_backward_before_forward_raises(self, rng, make_layer):
+        # a RuntimeError, not an assert that ``python -O`` would strip
+        layer = make_layer(rng)
         with pytest.raises(RuntimeError):
             layer.backward(np.zeros((4, 2)))
 
@@ -98,6 +104,18 @@ class TestMLP:
         net = MLP((5, 8, 2), rng)
         y = net.forward(rng.standard_normal(5))
         assert y.shape == (1, 2)
+
+    @pytest.mark.parametrize("batch", [1, 2, 30])
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    def test_forward_rows_is_bit_identical_to_per_row_forward(self, rng, activation, batch):
+        net = MLP((9, 64, 64, 3), rng, activation=activation)
+        for p in net.parameters():  # non-trivial biases and weights everywhere
+            p.value[...] = rng.standard_normal(p.shape)
+        x = rng.standard_normal((batch, 9))
+        rows = net.forward_rows(x)
+        per_row = np.vstack([net.forward(x[i : i + 1]) for i in range(batch)])
+        assert rows.shape == (batch, 3)
+        assert np.array_equal(rows, per_row)
 
     @pytest.mark.parametrize("activation", ["tanh", "relu"])
     def test_param_gradients_match_finite_differences(self, rng, activation):

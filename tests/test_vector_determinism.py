@@ -1,7 +1,10 @@
 """Determinism matrix for the vectorized rollout path and the trial cache.
 
-Two guarantees hold the whole performance story together:
+Three guarantees hold the whole performance story together:
 
+* deterministic acting is **row-exact**: row ``i`` of a batched
+  ``act(..., deterministic=True)`` equals acting on observation ``i``
+  alone, so evaluation batches its episodes without changing an action;
 * ``n_envs=1`` with ``vectorize=True`` is **byte-identical** to the
   historical single-env training path — same rewards, same virtual
   times, same learning curves — so vectorization is opt-in purely for
@@ -13,13 +16,16 @@ Two guarantees hold the whole performance story together:
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+import repro.classic  # noqa: F401  (registers Pendulum-v0)
 from repro.core import RandomSearch
 from repro.core.serialization import table_fingerprint
 from repro.frameworks import TrainSpec, get_framework
 from repro.obs import RingBufferSink, Telemetry
 from repro.paper import Scale, airdrop_parameter_space, table1_campaign
+from repro.rl import CategoricalPPOAgent, PPOAgent, SACAgent, VTraceAgent
 
 STEPS = 900
 
@@ -45,13 +51,46 @@ def _assert_results_equal(a, b) -> None:
     assert a.diagnostics == b.diagnostics
 
 
-@pytest.mark.parametrize("framework", ["rllib", "stable", "tfagents"])
-@pytest.mark.parametrize("algorithm", ["ppo", "sac"])
-def test_vectorized_n_envs_1_is_byte_identical_to_serial(framework, algorithm):
+@pytest.mark.parametrize(
+    "make_agent",
+    [
+        lambda: PPOAgent(9, 2, seed=1),
+        lambda: SACAgent(9, 2, seed=1),
+        lambda: VTraceAgent(9, 2, seed=1),
+        lambda: CategoricalPPOAgent(9, 3, seed=1),
+    ],
+    ids=["ppo", "sac", "vtrace", "categorical_ppo"],
+)
+def test_deterministic_act_rows_do_not_depend_on_the_batch(make_agent):
+    agent = make_agent()
+    obs = np.random.default_rng(0).standard_normal((30, 9))
+    batched = agent.act(obs, deterministic=True)
+    for i in range(len(obs)):
+        alone = agent.act(obs[i : i + 1], deterministic=True)
+        assert np.array_equal(batched["action"][i], alone["action"][0]), i
+        if "value" in batched:
+            assert batched["value"][i] == alone["value"][0], i
+
+
+_SERIAL_CASES = [
+    pytest.param(framework, algorithm, "Airdrop-v0", id=f"{algorithm}-{framework}")
+    for algorithm in ("ppo", "sac")
+    for framework in ("rllib", "stable", "tfagents")
+] + [
+    # no native vector env: rollouts and evaluation go through SyncVectorEnv
+    pytest.param("rllib", algorithm, "Pendulum-v0", id=f"{algorithm}-rllib-Pendulum-v0")
+    for algorithm in ("ppo", "sac")
+]
+
+
+@pytest.mark.parametrize("framework,algorithm,env_id", _SERIAL_CASES)
+def test_vectorized_n_envs_1_is_byte_identical_to_serial(framework, algorithm, env_id):
     fw = get_framework(framework)
     n_nodes = 2 if fw.supports_multi_node and algorithm == "ppo" else 1
-    serial = fw.train(_spec(algorithm, n_nodes=n_nodes))
-    vectorized = fw.train(_spec(algorithm, n_nodes=n_nodes, n_envs=1, vectorize=True))
+    serial = fw.train(_spec(algorithm, n_nodes=n_nodes, env_id=env_id))
+    vectorized = fw.train(
+        _spec(algorithm, n_nodes=n_nodes, env_id=env_id, n_envs=1, vectorize=True)
+    )
     _assert_results_equal(serial, vectorized)
 
 
