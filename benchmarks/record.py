@@ -4,7 +4,10 @@
 campaign single-env, vectorized at ``n_envs=8``, and on the process
 executor), takes the **min of k** wall-clock times per workload (minimum
 is the standard low-noise estimator for CI runners) and writes a
-schema'd ``BENCH_<sha>.json`` next to this file::
+schema'd ``BENCH_<sha>.json`` next to this file. The k rounds run
+round-robin (round 1 of every workload, then round 2, ...), so host
+drift over a recording moves every workload alike, and ratios such as
+``vec8_speedup`` stay steady::
 
     PYTHONPATH=src python benchmarks/record.py --rounds 3
 
@@ -149,27 +152,29 @@ def record(args: argparse.Namespace) -> int:
     import hashlib
 
     sha = _git_sha()
-    results: dict[str, dict[str, Any]] = {}
-    for name, run in _workloads(args.steps, args.seed).items():
-        times: list[float] = []
-        fingerprints: set[str] = set()
-        for round_index in range(args.rounds):
+    workloads = _workloads(args.steps, args.seed)
+    times: dict[str, list[float]] = {name: [] for name in workloads}
+    fingerprints: dict[str, set[str]] = {name: set() for name in workloads}
+    for round_index in range(args.rounds):
+        for name, run in workloads.items():
             start = time.perf_counter()
             fingerprint = run()
-            times.append(time.perf_counter() - start)
-            fingerprints.add(
+            times[name].append(time.perf_counter() - start)
+            fingerprints[name].add(
                 hashlib.sha256(fingerprint.encode("utf-8")).hexdigest()[:16]
             )
             print(f"  {name} round {round_index + 1}/{args.rounds}: "
-                  f"{times[-1]:.3f}s", flush=True)
-        if len(fingerprints) != 1:
-            print(f"FAIL: {name} is not run-to-run deterministic: {fingerprints}",
+                  f"{times[name][-1]:.3f}s", flush=True)
+    results: dict[str, dict[str, Any]] = {}
+    for name in workloads:
+        if len(fingerprints[name]) != 1:
+            print(f"FAIL: {name} is not run-to-run deterministic: {fingerprints[name]}",
                   file=sys.stderr)
             return 1
         results[name] = {
-            "min_s": min(times),
-            "times_s": [round(t, 6) for t in times],
-            "fingerprint_sha": fingerprints.pop(),
+            "min_s": min(times[name]),
+            "times_s": [round(t, 6) for t in times[name]],
+            "fingerprint_sha": fingerprints[name].pop(),
         }
 
     speedup = results["table1_serial"]["min_s"] / results["table1_vec8"]["min_s"]

@@ -31,6 +31,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import threading
 from pathlib import Path
 from typing import Any
 
@@ -77,6 +78,21 @@ def code_version_tag(roots: list[str | os.PathLike] | None = None) -> str:
     if default:
         _default_tag = tag
     return tag
+
+
+def _atomic_write(target: str, blob: str) -> None:
+    """Write ``blob`` to ``target`` through an fsync'd rename.
+
+    The temporary name is unique per thread, not just per process:
+    ``repro serve`` runs concurrent jobs against one shared cache, and
+    two of them storing the same trial must not rename each other's file.
+    """
+    tmp = f"{target}.tmp.{os.getpid()}.{threading.get_ident()}"
+    with open(tmp, "w", encoding="utf-8") as handle:
+        handle.write(blob)
+        handle.flush()
+        os.fsync(handle.fileno())
+    os.replace(tmp, target)
 
 
 class TrialCache:
@@ -179,13 +195,7 @@ class TrialCache:
         }
         self._memory[key] = entry
         if self.path is not None:
-            target = os.path.join(self.path, f"{key}.json")
-            tmp = f"{target}.tmp.{os.getpid()}"
-            with open(tmp, "w", encoding="utf-8") as handle:
-                json.dump(entry, handle)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, target)
+            _atomic_write(os.path.join(self.path, f"{key}.json"), json.dumps(entry))
         return True
 
     # ------------------------------------------------- worker-side outcomes
@@ -217,13 +227,7 @@ class TrialCache:
             return False  # non-JSON measurement values: not cacheable
         self._outcomes[key] = entry
         if self.path is not None:
-            target = os.path.join(self.path, f"{key}.outcome.json")
-            tmp = f"{target}.tmp.{os.getpid()}"
-            with open(tmp, "w", encoding="utf-8") as handle:
-                handle.write(blob)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, target)
+            _atomic_write(os.path.join(self.path, f"{key}.outcome.json"), blob)
         return True
 
     def lookup_outcome(

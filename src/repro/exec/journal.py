@@ -30,7 +30,7 @@ from __future__ import annotations
 import json
 import os
 import warnings
-from typing import Any
+from typing import Any, Iterator
 
 __all__ = ["CampaignJournal", "JournalMismatch"]
 
@@ -129,6 +129,29 @@ class CampaignJournal:
                     trial_id = record.get("trial_id")
                     if trial_id is not None:
                         self._entries[int(trial_id)] = record
+
+    @staticmethod
+    def committed_trials(path: str | os.PathLike) -> Iterator[dict[str, Any]]:
+        """The trials journaled at ``path``, in commit order, each as
+        :func:`~repro.core.serialization.trial_to_dict` wrote it (the
+        journal-only ``type`` and ``checkpoints`` keys stripped).
+
+        Reads line by line and stops at a torn tail, as a resume does; a
+        missing journal has no trials.
+        """
+        if not os.path.exists(path):
+            return
+        with open(path, encoding="utf-8") as handle:
+            for line in handle:
+                if not line.strip():
+                    continue
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError:
+                    return
+                if record.pop("type", None) == "trial":
+                    record.pop("checkpoints", None)
+                    yield record
 
     @property
     def n_recorded(self) -> int:

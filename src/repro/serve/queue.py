@@ -1,8 +1,11 @@
 """Per-tenant job queues with a global concurrency limit.
 
 A :class:`Job` is one submitted campaign: its spec, lifecycle state,
-committed-trial feed (what ``GET /campaigns/{id}/trials`` streams) and a
-cooperative stop flag (what graceful drain trips). A :class:`JobQueue`
+committed-trial feed (what ``GET /campaigns/{id}/trials`` follows while
+the job runs) and a cooperative stop flag (what graceful drain trips).
+A terminal job keeps only its status record: the transition drops the
+feed, and its rows are read back from the job's on-disk archive, so a
+long-lived service holds O(1) memory per finished job. A :class:`JobQueue`
 holds one FIFO per tenant and dispatches to ``max_concurrent`` runner
 threads, serving tenants round-robin so one client submitting fifty
 campaigns cannot starve another's first.
@@ -56,8 +59,8 @@ class Job:
     n_trials_expected: int | None = None
     #: sha256 hex of the canonical table fingerprint, set on completion
     fingerprint: str | None = None
-    #: report payload (table/meta/fronts), set on completion
-    result: dict[str, Any] | None = None
+    #: trials committed so far; outlives the feed once the job is terminal
+    n_trials_done: int = 0
     #: how many journaled trials a resumed run replayed
     n_replayed: int = 0
     #: times this job was re-enqueued by a server restart
@@ -66,8 +69,9 @@ class Job:
     def __post_init__(self) -> None:
         self._cond = threading.Condition()
         self._stop = threading.Event()
-        #: serialized committed trials, in commit order (the stream feed)
-        self._trial_rows: list[dict[str, Any]] = []
+        #: serialized committed trials in commit order (the stream feed);
+        #: None once the job is terminal and its rows live only on disk
+        self._trial_rows: list[dict[str, Any]] | None = None if self.terminal else []
 
     # ------------------------------------------------------------ lifecycle
     def request_stop(self) -> None:
@@ -80,7 +84,11 @@ class Job:
         return self._stop.is_set
 
     def mark(self, state: str, error: str | None = None) -> None:
-        """Transition to ``state`` and wake every streamer/poller."""
+        """Transition to ``state`` and wake every streamer/poller.
+
+        A terminal ``state`` drops the trial feed: the caller must have
+        archived the committed rows (result or journal) before this call.
+        """
         if state not in JOB_STATES:
             raise ValueError(f"unknown job state {state!r}")
         with self._cond:
@@ -91,6 +99,7 @@ class Job:
             if state in TERMINAL_STATES:
                 # repro-lint: disable=RPR002 -- lifecycle timestamps feed the job record shown to clients, never the fingerprint digest
                 self.finished_at = time.time()
+                self._trial_rows = None
             if error is not None:
                 self.error = error
             self._cond.notify_all()
@@ -103,7 +112,8 @@ class Job:
             self.finished_at = None
             self.error = None
             self.restarts += 1
-            self._trial_rows.clear()
+            self.n_trials_done = 0
+            self._trial_rows = []
             self._stop.clear()
             self._cond.notify_all()
 
@@ -114,29 +124,32 @@ class Job:
     # ----------------------------------------------------------- trial feed
     def append_trial(self, row: dict[str, Any]) -> None:
         with self._cond:
+            if self._trial_rows is None:
+                raise RuntimeError(f"job {self.id} is {self.state}; its feed is closed")
             self._trial_rows.append(row)
+            self.n_trials_done += 1
             self._cond.notify_all()
 
-    @property
-    def n_trials_done(self) -> int:
-        with self._cond:
-            return len(self._trial_rows)
-
-    def trials_after(self, index: int, timeout: float = _TICK_S) -> list[dict[str, Any]]:
+    def trials_after(
+        self, index: int, timeout: float = _TICK_S
+    ) -> list[dict[str, Any]] | None:
         """Rows committed after ``index``; blocks at most ``timeout``.
 
-        Returns an empty list on timeout — callers loop, re-checking
-        :attr:`terminal` between waits, so a stream never parks forever
-        on a drained job.
+        Returns an empty list on timeout, so a caller looping on this
+        never parks forever on a drained job, and None once the job is
+        terminal: the rows have left memory, and the caller continues
+        from the job's archive at the row it had reached.
         """
         deadline = time.monotonic() + timeout
         with self._cond:
-            while len(self._trial_rows) <= index and not self.terminal:
+            while self._trial_rows is not None and len(self._trial_rows) <= index:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     break
                 self._cond.wait(timeout=min(remaining, _TICK_S))
-            return list(self._trial_rows[index:])
+            if self._trial_rows is None:
+                return None
+            return self._trial_rows[index:]
 
     # ------------------------------------------------------------ snapshots
     def snapshot(self) -> dict[str, Any]:
@@ -151,7 +164,7 @@ class Job:
                 "submitted_at": self.submitted_at,
                 "started_at": self.started_at,
                 "finished_at": self.finished_at,
-                "n_trials_done": len(self._trial_rows),
+                "n_trials_done": self.n_trials_done,
                 "n_trials_expected": self.n_trials_expected,
                 "restarts": self.restarts,
             }

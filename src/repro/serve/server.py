@@ -27,7 +27,9 @@ Errors are always JSON: ``{"error": {"type": ..., "message": ...}}``.
 
 Durability model: each job persists ``<id>.job.json`` (spec + state),
 ``<id>.journal.jsonl`` (the existing campaign journal), ``<id>.telemetry
-.jsonl`` and, on completion, ``<id>.result.json``. A SIGTERM drain stops
+.jsonl`` and, on completion, ``<id>.result.json``. Only a running job
+keeps its trial rows in memory; a finished one streams them from these
+files, the same way before and after a restart. A SIGTERM drain stops
 accepting work, trips every running campaign's stop flag (the campaign
 checkpoints its committed prefix via the journal) and marks those jobs
 ``interrupted``; the next ``repro serve`` on the same ``state_dir``
@@ -40,6 +42,7 @@ RPR009): long waits are chunked streams built from bounded waits.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 import secrets
@@ -47,7 +50,7 @@ import threading
 import time
 import warnings
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Iterator
 
 from ..core import (
     Campaign,
@@ -266,6 +269,7 @@ class CampaignService:
                 name=payload.get("name", ""),
                 state=payload.get("state", "queued"),
                 submitted_at=payload.get("submitted_at", 0.0),
+                n_trials_done=int(payload.get("n_trials_done", 0)),
             )
             job.started_at = payload.get("started_at")
             job.finished_at = payload.get("finished_at")
@@ -344,9 +348,7 @@ class CampaignService:
         return os.path.join(self.state_dir, f"{job_id}.{suffix}")
 
     def _persist(self, job: Job) -> None:
-        snapshot = job.snapshot()
-        snapshot.pop("n_trials_done", None)  # derived from the journal
-        _atomic_write_json(self._path(job.id, "job.json"), snapshot)
+        _atomic_write_json(self._path(job.id, "job.json"), job.snapshot())
 
     def _read_result(self, job_id: str) -> dict[str, Any] | None:
         path = self._path(job_id, "result.json")
@@ -362,6 +364,24 @@ class CampaignService:
         if job.state != "completed":
             return None
         return self._read_result(job.id)
+
+    def trial_rows(self, job: Job) -> Iterator[dict[str, Any]]:
+        """Every committed trial row of ``job``, in commit order.
+
+        Follows the in-memory feed while the job runs, in bounded waits.
+        Once the job is terminal its rows have left memory, and the rest
+        comes from its archive, starting at the row the feed had reached:
+        ``result.json`` once completed, else the journal.
+        """
+        sent = 0
+        while (rows := job.trials_after(sent, timeout=0.5)) is not None:
+            yield from rows
+            sent += len(rows)
+        if job.state == "completed":
+            archive = (self._read_result(job.id) or {}).get("trials", [])
+        else:
+            archive = CampaignJournal.committed_trials(self._path(job.id, "journal.jsonl"))
+        yield from itertools.islice(archive, sent, None)
 
     def trace_for(self, job: Job) -> dict[str, Any] | None:
         path = self._path(job.id, "telemetry.jsonl")
@@ -579,11 +599,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     # ----------------------------------------------------------- sub-views
     def _get_trials(self, job: Job) -> None:
-        """Chunked JSONL: every committed trial, then one terminal record.
-
-        For jobs that completed in a previous server incarnation the
-        in-memory feed is empty — rows come from the archived result.
-        """
+        """Chunked JSONL: every committed trial, then one terminal record."""
         self.send_response(200)
         self.send_header("Content-Type", "application/x-ndjson")
         self.send_header("Transfer-Encoding", "chunked")
@@ -596,19 +612,9 @@ class _Handler(BaseHTTPRequestHandler):
             self.wfile.flush()
 
         sent = 0
-        if job.terminal and job.n_trials_done == 0 and job.state == "completed":
-            result = self.server.service.result_for(job)
-            for row in (result or {}).get("trials", []):
-                chunk({"type": "trial", **row})
-                sent += 1
-        else:
-            while True:
-                rows = job.trials_after(sent, timeout=0.5)
-                for row in rows:
-                    chunk({"type": "trial", **row})
-                sent += len(rows)
-                if job.terminal and job.n_trials_done <= sent:
-                    break
+        for row in self.server.service.trial_rows(job):
+            chunk({"type": "trial", **row})
+            sent += 1
         chunk(
             {
                 "type": "end",

@@ -384,11 +384,16 @@ class TestJournal:
 
     def test_torn_tail_is_dropped(self, tmp_path):
         path = tmp_path / "journal.jsonl"
-        campaign(journal=CampaignJournal(path)).run()
+        report = campaign(journal=CampaignJournal(path)).run()
         with open(path, "a", encoding="utf-8") as handle:
             handle.write('{"type": "trial", "trial_id": 99, "conf')  # torn write
         journal = CampaignJournal.resume(path)
         assert journal.n_recorded == 8
+        # read back in commit order as trial_to_dict wrote the rows
+        assert list(CampaignJournal.committed_trials(path)) == [
+            trial_to_dict(t) for t in report.table
+        ]
+        assert list(CampaignJournal.committed_trials(tmp_path / "nope.jsonl")) == []
 
     def test_torn_header_is_rejected(self, tmp_path):
         path = tmp_path / "journal.jsonl"

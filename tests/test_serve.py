@@ -8,7 +8,9 @@ Covers the ``repro.serve`` package end to end:
   pinned down with an injected runner gated on ``threading.Event``;
 * the JSONL trial stream's terminal record;
 * graceful drain → "interrupted" checkpoint → restart resumes from the
-  journal and replays committed trials instead of re-running them.
+  journal and replays committed trials instead of re-running them;
+* finished jobs: their rows leave memory, and their trial stream is read
+  back from the on-disk archive byte for byte, before and after a restart.
 
 Everything binds ``127.0.0.1:0`` and reads the kernel-assigned port, so
 tests run in parallel CI shards without port collisions.
@@ -19,11 +21,13 @@ from __future__ import annotations
 import http.client
 import json
 import os
+import sys
 import threading
 import time
 
 import pytest
 
+from repro.core import RandomSearch
 from repro.exec import CampaignJournal
 from repro.obs import MeterRegistry
 from repro.serve import (
@@ -210,6 +214,27 @@ class TestJobQueue:
         assert time.monotonic() - start < 5.0  # bounded park, not forever
         job.append_trial({"trial": 0})
         assert job.trials_after(0, timeout=0.2) == [{"trial": 0}]
+
+    def test_terminal_transition_drops_the_feed_but_keeps_the_count(self):
+        job = self.make_job("tenant-a", "j1")
+        job.mark("running")
+        job.append_trial({"trial": 0})
+        job.append_trial({"trial": 1})
+        job.mark("failed", error="boom")
+        assert job.trials_after(0, timeout=0.0) is None
+        assert job.snapshot()["n_trials_done"] == 2
+        with pytest.raises(RuntimeError, match="feed is closed"):
+            job.append_trial({"trial": 2})
+        # a job rebuilt from a terminal state record starts without rows
+        restored = Job(
+            id="j1", tenant="tenant-a", spec={}, state="completed", n_trials_done=2
+        )
+        assert restored.trials_after(0, timeout=0.0) is None
+        assert restored.n_trials_done == 2
+        # a restart re-enqueue reopens the feed; the replay rebuilds it
+        job.reset_for_resume()
+        assert job.n_trials_done == 0
+        assert job.trials_after(0, timeout=0.0) == []
 
 
 # -------------------------------------------------------- shared live server
@@ -464,6 +489,231 @@ class TestDrainRestart:
         assert lines[-1]["type"] == "end"
         assert lines[-1]["state"] == "interrupted"
         assert lines[-1]["n_trials"] >= 1
+
+
+# ------------------------------------------------------ finished-job streams
+def stream_trials(port: int, job_id: str) -> bytes:
+    status, body = request(port, "GET", f"/campaigns/{job_id}/trials")
+    assert status == 200, body
+    return body
+
+
+def park_after_first_row(monkeypatch) -> threading.Event:
+    """Park every runner right after its job's first committed row until
+    the returned event is set, so a test can look at a job mid-run."""
+    gate = threading.Event()
+    append = Job.append_trial
+
+    def gated(job: Job, row: dict) -> None:
+        append(job, row)
+        if job.n_trials_done == 1:
+            gate.wait(timeout=60.0)
+
+    monkeypatch.setattr(Job, "append_trial", gated)
+    return gate
+
+
+class _GivesOutExplorer(RandomSearch):
+    """Random search whose ask raises after ``limit`` proposals, which
+    fails the whole job with exactly ``limit`` trials committed."""
+
+    def __init__(self, space, limit: int, **kwargs) -> None:
+        super().__init__(space, **kwargs)
+        self.limit = limit
+
+    def ask(self):
+        if self.n_asked >= self.limit:
+            raise RuntimeError("explorer gave out")
+        return super().ask()
+
+
+#: three trials, so a stream opened after the first has more to follow
+THREE_TRIALS = {"explorer": "random", "trials": 3, "steps": 60, "cache": False}
+
+
+@pytest.fixture(scope="class")
+def finished_job(tmp_path_factory):
+    """One completed job whose /trials stream was read three ways: live
+    (opened while the runner is parked after the first commit), after
+    completion, and from a new server on the same state dir."""
+    state = str(tmp_path_factory.mktemp("finished-state"))
+    with pytest.MonkeyPatch.context() as patch:
+        gate = park_after_first_row(patch)
+        service = CampaignService(state, max_concurrent=1)
+        server = CampaignServer(service, port=0)
+        server.start()
+        port = server.address[1]
+        try:
+            status, posted = request(port, "POST", "/campaigns", None, THREE_TRIALS)
+            assert status == 202, posted
+            job_id = posted["id"]
+            job = service.job_for(OPEN_TENANT, job_id)
+            conn = http.client.HTTPConnection("127.0.0.1", port, timeout=120)
+            try:
+                conn.request("GET", f"/campaigns/{job_id}/trials")
+                response = conn.getresponse()
+                first = response.readline()
+                state_mid_stream = job.state
+                gate.set()
+                live = first + response.read()
+            finally:
+                gate.set()
+                conn.close()
+            before = wait_for_state(port, None, job_id, ("completed", "failed"))
+            finished = stream_trials(port, job_id)
+        finally:
+            server.drain(grace_s=10.0)
+    server2 = CampaignServer(CampaignService(state, max_concurrent=1), port=0)
+    assert server2.start() == 0
+    try:
+        restarted = stream_trials(server2.address[1], job_id)
+        status, after = request(server2.address[1], "GET", f"/campaigns/{job_id}")
+        assert status == 200, after
+    finally:
+        server2.drain(grace_s=10.0)
+    return {
+        "state_mid_stream": state_mid_stream,
+        "live": live,
+        "finished": finished,
+        "restarted": restarted,
+        "before": before,
+        "after": after,
+    }
+
+
+class TestFinishedJobStreams:
+    def test_stream_is_byte_identical_live_finished_and_restarted(self, finished_job):
+        assert finished_job["state_mid_stream"] == "running"
+        live = finished_job["live"]
+        assert live == finished_job["finished"] == finished_job["restarted"]
+        lines = [json.loads(line) for line in live.splitlines()]
+        assert [line["type"] for line in lines] == ["trial"] * 3 + ["end"]
+        assert lines[-1]["state"] == "completed" and lines[-1]["n_trials"] == 3
+        assert lines[-1]["fingerprint"] == finished_job["before"]["fingerprint"]
+
+    def test_completed_job_keeps_n_trials_done_across_restart(self, finished_job):
+        before, after = finished_job["before"], finished_job["after"]
+        assert before["state"] == after["state"] == "completed"
+        assert before["n_trials_done"] == after["n_trials_done"] == 3
+        assert after["fingerprint"] == before["fingerprint"]
+
+    def test_midrun_streamer_continues_from_the_archive(self, tmp_path, monkeypatch):
+        gate = park_after_first_row(monkeypatch)
+        service = CampaignService(str(tmp_path / "state"), max_concurrent=1)
+        service.start()
+        try:
+            job = service.submit(OPEN_TENANT, THREE_TRIALS)
+            rows = service.trial_rows(job)
+            first = next(rows)  # from the in-memory feed
+            assert job.state == "running"
+            gate.set()
+            wait_until(lambda: job.terminal, message="job never finished")
+            # the feed is gone, so the rest can only come from result.json
+            assert job.trials_after(0, timeout=0.0) is None
+            streamed = [first, *rows]
+        finally:
+            gate.set()
+            service.drain(grace_s=10.0)
+        assert job.state == "completed"
+        assert [row["trial_id"] for row in streamed] == [1, 2, 3]
+        assert streamed == service.result_for(job)["trials"]
+
+    def test_streamers_racing_the_release_see_every_row_once(self, tmp_path):
+        """Stress the hand-off from the in-memory feed to the archive:
+        streamers started before, during and after the commits lose and
+        repeat no row, whenever the terminal mark lands."""
+        service = CampaignService(str(tmp_path / "state"))
+        job = Job(id="job-race", tenant=OPEN_TENANT, spec={})
+        job.mark("running")
+        rows = [{"trial_id": index} for index in range(1, 301)]
+        received: list[list[dict]] = [[] for _ in range(6)]
+        readers = [
+            threading.Thread(target=lambda into=into: into.extend(service.trial_rows(job)))
+            for into in received
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for index, row in enumerate(rows):
+                if index % 60 == 0:
+                    readers[index // 60].start()
+                job.append_trial(row)
+            readers[5].start()
+            # what _complete does: archive the rows, then mark the job
+            with open(os.path.join(service.state_dir, f"{job.id}.result.json"), "w") as out:
+                json.dump({"trials": rows}, out)
+            job.mark("completed")
+            for reader in readers:
+                reader.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(reader.is_alive() for reader in readers)
+        assert all(got == rows for got in received)
+
+    def test_failed_job_streams_its_journal_after_restart(self, tmp_path, monkeypatch):
+        from repro.paper import airdrop_parameter_space
+
+        committed = 2
+        monkeypatch.setattr(
+            "repro.serve.server._make_explorer",
+            lambda spec: _GivesOutExplorer(
+                airdrop_parameter_space(),
+                committed,
+                n_trials=spec["trials"],
+                seed=spec["seed"],
+            ),
+        )
+        state = str(tmp_path / "state")
+        server = CampaignServer(CampaignService(state, max_concurrent=1), port=0)
+        server.start()
+        port = server.address[1]
+        try:
+            status, posted = request(port, "POST", "/campaigns", None, THREE_TRIALS)
+            assert status == 202, posted
+            job_id = posted["id"]
+            snap = wait_for_state(port, None, job_id, ("completed", "failed"))
+            before = stream_trials(port, job_id)
+        finally:
+            server.drain(grace_s=10.0)
+        assert snap["state"] == "failed" and "gave out" in snap["error"]
+        assert snap["n_trials_done"] == committed
+
+        server2 = CampaignServer(CampaignService(state, max_concurrent=1), port=0)
+        assert server2.start() == 0  # a failed job is not re-run
+        try:
+            after = stream_trials(server2.address[1], job_id)
+            status, snap2 = request(server2.address[1], "GET", f"/campaigns/{job_id}")
+        finally:
+            server2.drain(grace_s=10.0)
+        assert after == before
+        lines = [json.loads(line) for line in after.splitlines()]
+        assert [line["type"] for line in lines] == ["trial"] * committed + ["end"]
+        assert lines[-1] == {
+            "type": "end", "state": "failed", "n_trials": committed, "fingerprint": None
+        }
+        assert "checkpoints" not in lines[0]  # journal-only keys are stripped
+        assert snap2["state"] == "failed" and snap2["n_trials_done"] == committed
+
+    def test_terminal_jobs_hold_no_trial_rows(self, tmp_path):
+        service = CampaignService(str(tmp_path / "state"), max_concurrent=2)
+        service.start()
+        try:
+            # cached: the trials are trained once and then replayed
+            jobs = [
+                service.submit(OPEN_TENANT, {**FAST_SPEC, "cache": True})
+                for _ in range(4)
+            ]
+            wait_until(
+                lambda: all(job.terminal for job in jobs),
+                timeout=120.0,
+                message="jobs never finished",
+            )
+        finally:
+            service.drain(grace_s=10.0)
+        assert [job.state for job in jobs] == ["completed"] * 4
+        for job in jobs:
+            assert job._trial_rows is None  # only the status record is left
+            assert job.n_trials_done == 2
 
 
 # ----------------------------------------------------------- support hooks

@@ -9,6 +9,8 @@ itself.
 from __future__ import annotations
 
 import shutil
+import sys
+import threading
 
 import pytest
 
@@ -104,6 +106,40 @@ class TestStoreLookup:
         key = cache.key(trial.config, 7, IDENTITY)
         cache.store(key, trial)
         assert cache.lookup(key, trial.config, 8) is None
+
+    def test_concurrent_threads_store_one_key(self, tmp_path):
+        """Concurrent serve jobs share one cache and may commit the same
+        trial at once; neither store may fail on the other's rename."""
+        cache = TrialCache(tmp_path / "cache", code_tag="t0")
+        trial = make_trial()
+        key = cache.key(trial.config, 7, IDENTITY)
+        start = threading.Barrier(4)
+        errors: list[BaseException] = []
+
+        def store_many() -> None:
+            start.wait(timeout=30.0)
+            try:
+                for _ in range(25):
+                    cache.store(key, trial)
+            except OSError as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=store_many) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert sorted(p.name for p in (tmp_path / "cache").iterdir()) == [f"{key}.json"]
+        assert TrialCache(tmp_path / "cache", code_tag="t0").lookup(
+            key, trial.config, 7
+        ) is not None
 
 
 class TestCodeVersionTag:
