@@ -12,7 +12,9 @@ drift over a recording moves every workload alike, and ratios such as
     PYTHONPATH=src python benchmarks/record.py --rounds 3
 
 ``compare`` mode gates a candidate recording against a committed
-baseline and exits non-zero on a >``--threshold`` regression::
+baseline and exits non-zero on a >``--threshold`` regression. It also
+prints whether each workload's table fingerprint matches the
+baseline's; that line never gates::
 
     PYTHONPATH=src python benchmarks/record.py \
         --compare benchmarks/BENCH_baseline.json BENCH_abc123.json
@@ -289,6 +291,16 @@ def compare(args: argparse.Namespace) -> int:
     if cand_speed < args.min_speedup:
         failures.append(f"vec8_speedup fell to {cand_speed:.2f}x "
                         f"(floor {args.min_speedup:.1f}x)")
+    # informational, not a gate: whether another host reproduces the
+    # baseline host's fingerprints is unverified
+    print("\ntable fingerprints against the baseline (informational):")
+    for name, base in sorted(base_work.items()):
+        cand = cand_work.get(name)
+        if cand is not None:
+            same = cand["fingerprint_sha"] == base["fingerprint_sha"]
+            verdict = "same" if same else "DIFFERENT"
+            print(f"{name:<22} {verdict:<9} baseline {base['fingerprint_sha']} "
+                  f"candidate {cand['fingerprint_sha']}")
     if failures:
         print("\nbenchmark gate FAILED:", file=sys.stderr)
         for failure in failures:

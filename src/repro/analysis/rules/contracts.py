@@ -316,7 +316,9 @@ class TrialSerializationContract(ProjectRule):
 
 
 class BenchSchemaContract(ProjectRule):
-    """RPR104: the bench gate only reads fields the recorder writes."""
+    """RPR104: the bench gate only reads fields the recorder writes, at
+    the top of a recording (``payload``) and in each workload entry
+    (``results[name]``, read back as ``base``/``cand``)."""
 
     rule_id = "RPR104"
     title = "benchmark recording schema drift"
@@ -337,28 +339,34 @@ class BenchSchemaContract(ProjectRule):
         if record_fn is None or compare_fn is None:
             return
         payload: ast.Dict | None = None
+        entry: ast.Dict | None = None
         for node in ast.walk(record_fn):
-            if (
-                isinstance(node, ast.Assign)
-                and isinstance(node.value, ast.Dict)
-                and any(
-                    isinstance(t, ast.Name) and t.id == "payload"
-                    for t in node.targets
+            if not (isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict)):
+                continue
+            for target in node.targets:
+                if isinstance(target, ast.Name) and target.id == "payload":
+                    payload = node.value
+                elif (
+                    isinstance(target, ast.Subscript)
+                    and isinstance(target.value, ast.Name)
+                    and target.value.id == "results"
+                ):
+                    entry = node.value
+        for written, receivers, what in (
+            (payload, {"baseline", "candidate"}, "recording fields"),
+            (entry, {"base", "cand"}, "workload fields"),
+        ):
+            if written is None:
+                continue
+            read = _consumed_keys(compare_fn, receivers)
+            phantom = sorted(read - _dict_literal_keys(written))
+            if phantom:
+                yield self.finding(
+                    module,
+                    compare_fn.lineno,
+                    f"compare() reads {what} {phantom} that record() never "
+                    "writes — the gate would fail on every fresh recording",
                 )
-            ):
-                payload = node.value
-        if payload is None:
-            return
-        written = _dict_literal_keys(payload)
-        read = _consumed_keys(compare_fn, {"baseline", "candidate"})
-        phantom = sorted(read - written)
-        if phantom:
-            yield self.finding(
-                module,
-                compare_fn.lineno,
-                f"compare() reads recording fields {phantom} that record() "
-                "never writes — the gate would fail on every fresh recording",
-            )
 
 
 class CliWiringContract(ProjectRule):

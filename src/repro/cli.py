@@ -223,8 +223,8 @@ def _add_campaign_parser(subparsers) -> None:
         type=int,
         default=1,
         metavar="N",
-        help="vectorized episodes per rollout worker (1 keeps the "
-        "historical byte-identical single-env path)",
+        help="episodes each rollout worker steps per env call (1, the "
+        "default, steps one scalar env per worker)",
     )
     p.add_argument(
         "--cache",

@@ -63,9 +63,8 @@ class SyncVectorEnv:
             if env.observation_space.shape != self.single_observation_space.shape:
                 raise ValueError("all sub-envs must share one observation space")
         self.stats = EpisodeStats()
-        self._episode_returns = np.zeros(self.num_envs, dtype=np.float64)
-        self._episode_lengths = np.zeros(self.num_envs, dtype=np.int64)
-        self._autoreset = np.zeros(self.num_envs, dtype=bool)
+        self._episode_returns = [0.0] * self.num_envs
+        self._episode_lengths = [0] * self.num_envs
 
     # ------------------------------------------------------------------ API
     def reset(
@@ -89,9 +88,8 @@ class SyncVectorEnv:
             obs, info = env.reset(seed=seeds[index])
             observations.append(np.asarray(obs, dtype=np.float64))
             infos.append(info)
-        self._episode_returns[:] = 0.0
-        self._episode_lengths[:] = 0
-        self._autoreset[:] = False
+        self._episode_returns = [0.0] * self.num_envs
+        self._episode_lengths = [0] * self.num_envs
         return np.stack(observations), infos
 
     def step(
@@ -102,37 +100,43 @@ class SyncVectorEnv:
         The returned observation for a finished sub-env is the first
         observation of its *next* episode, while ``info['final_observation']``
         carries the terminal observation — the convention PPO's GAE
-        bootstrapping relies on.
+        bootstrapping relies on. An exception a sub-env's ``step`` raises
+        propagates unchanged, tagged with ``env_index``, the slot that raised.
         """
-        observations = np.empty(
-            (self.num_envs, *self.single_observation_space.shape), dtype=np.float64
-        )
-        rewards = np.zeros(self.num_envs, dtype=np.float64)
-        terminations = np.zeros(self.num_envs, dtype=bool)
-        truncations = np.zeros(self.num_envs, dtype=bool)
+        if len(actions) != self.num_envs:
+            raise ValueError(f"got {len(actions)} actions for {self.num_envs} sub-envs")
+        returns, lengths = self._episode_returns, self._episode_lengths
+        observations, rewards, terminations, truncations = [], [], [], []
         infos: list[dict] = []
-
-        for index, (env, action) in enumerate(zip(self.envs, actions, strict=True)):
-            obs, reward, terminated, truncated, info = env.step(action)
-            self._episode_returns[index] += float(reward)
-            self._episode_lengths[index] += 1
+        for index, env in enumerate(self.envs):
+            try:
+                obs, reward, terminated, truncated, info = env.step(actions[index])
+            except Exception as exc:
+                exc.env_index = index  # type: ignore[attr-defined]
+                raise
+            reward = float(reward)
+            returns[index] += reward
+            lengths[index] += 1
             if terminated or truncated:
                 info = dict(info)
                 info["final_observation"] = np.asarray(obs, dtype=np.float64)
-                info["episode"] = {
-                    "r": float(self._episode_returns[index]),
-                    "l": int(self._episode_lengths[index]),
-                }
-                self.stats.add(self._episode_returns[index], self._episode_lengths[index])
-                self._episode_returns[index] = 0.0
-                self._episode_lengths[index] = 0
+                info["episode"] = {"r": returns[index], "l": lengths[index]}
+                self.stats.add(returns[index], lengths[index])
+                returns[index] = 0.0
+                lengths[index] = 0
                 obs, _ = env.reset()
-            observations[index] = np.asarray(obs, dtype=np.float64)
-            rewards[index] = float(reward)
-            terminations[index] = bool(terminated)
-            truncations[index] = bool(truncated)
+            observations.append(obs)
+            rewards.append(reward)
+            terminations.append(terminated)
+            truncations.append(truncated)
             infos.append(info)
-        return observations, rewards, terminations, truncations, infos
+        return (
+            np.array(observations, dtype=np.float64),
+            np.array(rewards, dtype=np.float64),
+            np.array(terminations, dtype=bool),
+            np.array(truncations, dtype=bool),
+            infos,
+        )
 
     def sample_actions(self, rng: np.random.Generator | None = None) -> np.ndarray:
         """Batch of random actions, one per sub-env (useful for warmup)."""

@@ -36,7 +36,7 @@ from ..cluster import (
     energy_from_trace,
     paper_testbed,
 )
-from ..envs import Env, make, make_vec
+from ..envs import SyncVectorEnv, make, make_vec
 from ..faults import (
     ClusterFaultError,
     FailFastRecovery,
@@ -56,9 +56,18 @@ class EnvStepError(RuntimeError):
     failure with the offending step count in ``extras`` instead of a bare
     traceback killing an executor worker. The original message is kept in
     ours so error-matching on it (and on ``RuntimeError``) still works.
+
+    ``env_step`` is the global index of the failing transition:
+    ``first_step``, the index of the failing env call's first transition,
+    plus the slot that raised when the env batch names it. A
+    :class:`~repro.envs.SyncVectorEnv` does (it tags the exception with
+    ``env_index``); a natively batched env steps every row in one
+    computation, cannot name a row, and reports the call's first
+    transition.
     """
 
-    def __init__(self, env_step: int, cause: BaseException) -> None:
+    def __init__(self, first_step: int, cause: BaseException) -> None:
+        env_step = first_step + getattr(cause, "env_index", 0)
         super().__init__(f"env step {env_step} failed: {cause}")
         self.extras = {
             "env_step": int(env_step),
@@ -86,12 +95,10 @@ class TrainSpec:
     #: when the worker count changes)
     train_batch_size: int = 1024
     eval_episodes: int = 30
-    #: episodes stepped per env call by each rollout worker (1 = the
-    #: historical single-env path, byte-identical to older versions)
+    #: episodes stepped per env call by each rollout worker (1 steps one
+    #: scalar env per worker; wider batches step the registered native
+    #: batched env, see :meth:`Framework._env_batch`)
     n_envs: int = 1
-    #: force the vectorized collection path on/off; ``None`` (default)
-    #: vectorizes exactly when ``n_envs > 1``
-    vectorize: bool | None = None
     ppo: PPOConfig = field(default_factory=PPOConfig)
     sac: SACConfig = field(default_factory=SACConfig)
 
@@ -108,11 +115,6 @@ class TrainSpec:
             raise ValueError("n_envs must be >= 1")
         if self.eval_episodes < 1:
             raise ValueError("eval_episodes must be >= 1")
-
-    @property
-    def vector_rollouts(self) -> bool:
-        """Whether rollout collection goes through the vectorized path."""
-        return self.vectorize if self.vectorize is not None else self.n_envs > 1
 
     @property
     def rk_order(self) -> int:
@@ -194,19 +196,17 @@ def _space_action_mapper(space: Any):
     high = np.asarray(getattr(space, "high", 1.0), dtype=np.float64)
     bounded = np.isfinite(low) & np.isfinite(high)
     low_b = np.where(bounded, low, -1.0)
-    high_b = np.where(bounded, high, 1.0)
+    span = np.where(bounded, high, 1.0) - low_b
+    all_bounded = bool(bounded.all())
 
     def mapper(action: np.ndarray) -> np.ndarray:
-        unit = np.clip(np.asarray(action, dtype=np.float64), -1.0, 1.0)
-        scaled = low_b + (unit + 1.0) * 0.5 * (high_b - low_b)
-        return np.where(bounded, scaled, unit)
+        # the ufuncs np.clip ends in, called directly: it runs once per env
+        # step, and its Python dispatch layers cost more than the arithmetic
+        unit = np.minimum(np.maximum(np.asarray(action, dtype=np.float64), -1.0), 1.0)
+        scaled = low_b + (unit + 1.0) * 0.5 * span
+        return scaled if all_bounded else np.where(bounded, scaled, unit)
 
     return mapper
-
-
-def _action_mapper(env: Env):
-    """:func:`_space_action_mapper` for an env's own action space."""
-    return _space_action_mapper(env.action_space)
 
 
 def _vec_rhs_evals(venv: Any) -> int:
@@ -220,26 +220,11 @@ def _vec_rhs_evals(venv: Any) -> int:
     return 6
 
 
-class _Worker:
-    """One environment instance plus its episode bookkeeping."""
-
-    def __init__(self, env: Env, seed: int) -> None:
-        self.env = env
-        self.obs, _ = env.reset(seed=seed)
-        self.map_action = _action_mapper(env)
-        self.episode_return = 0.0
-
-    def step(self, action: np.ndarray) -> tuple[np.ndarray, float, bool, bool, dict]:
-        obs, reward, term, trunc, info = self.env.step(self.map_action(action))
-        self.episode_return += float(reward)
-        return obs, reward, term, trunc, info
-
-    def episode_score(self, info: dict) -> float:
-        """Episode quality: the landing score for the airdrop study, the
-        plain episode return for any other environment."""
-        score = float(info.get("landing_score", self.episode_return))
-        self.episode_return = 0.0
-        return score
+def _episode_score(info: dict) -> float:
+    """Quality of the episode an auto-reset ``info`` closes: the landing
+    score for the airdrop study, the plain episode return for any other
+    environment."""
+    return float(info.get("landing_score", info["episode"]["r"]))
 
 
 class Framework:
@@ -384,12 +369,28 @@ class Framework:
         self.validate(spec)
         telemetry = Telemetry.or_null(telemetry)
         if spec.algorithm == "ppo":
-            if spec.vector_rollouts:
-                return self._train_ppo_vec(spec, callback, telemetry)
             return self._train_ppo(spec, callback, telemetry)
-        if spec.vector_rollouts:
-            return self._train_sac_vec(spec, callback, telemetry)
         return self._train_sac(spec, callback, telemetry)
+
+    @staticmethod
+    def _env_batch(spec: TrainSpec, n: int) -> Any:
+        """The ``n`` env slots one training or evaluation loop steps.
+
+        Every loop is written once against the vector-env contract:
+        batched ``step``, auto-reset, and ``final_observation`` /
+        ``episode`` infos on the step that ends an episode. At
+        ``n_envs > 1`` the slots come from :func:`~repro.envs.make_vec`,
+        the registered native batched env when there is one. At
+        ``n_envs == 1`` each slot is one scalar :func:`~repro.envs.make`
+        env inside a :class:`~repro.envs.SyncVectorEnv`: SAC and
+        one-episode evaluation step a single row per call, where one
+        scalar ``Airdrop-v0`` step costs about a third of a one-row
+        native batch, and the single-env workload keeps stepping
+        ``AirdropEnv`` as the benchmarks expect.
+        """
+        if spec.n_envs > 1:
+            return make_vec(spec.env_id, n, **spec.env_kwargs)
+        return SyncVectorEnv([lambda: make(spec.env_id, **spec.env_kwargs)] * n)
 
     # ---------------------------------------------------------------- PPO
     def _train_ppo(
@@ -398,142 +399,15 @@ class Framework:
         callback: Callable[[int, float], bool] | None = None,
         telemetry: Telemetry | None = None,
     ) -> TrainResult:
-        telem = Telemetry.or_null(telemetry)
-        meters = telem.trial_meters
-        layout = self.layout(spec)
-        groups = layout.groups()
-        n_workers = layout.n_workers
-        workers = [
-            _Worker(make(spec.env_id, **spec.env_kwargs), seed=self._seed(spec, f"env{i}"))
-            for i in range(n_workers)
-        ]
-        probe_env = workers[0].env
-        obs_dim = int(np.prod(probe_env.observation_space.shape))
-        act_dim = int(np.prod(probe_env.action_space.shape))
-        n_stages = getattr(probe_env.unwrapped, "rhs_evals_per_step", 6)
+        """PPO: every worker of the layout steps ``spec.n_envs`` episodes
+        per env call.
 
-        ppo_config = self.effective_ppo(spec)
-        agent = PPOAgent(obs_dim, act_dim, ppo_config, seed=self._seed(spec, "agent"))
-        fragment = max(32, self.effective_batch(spec) // n_workers)
-        buffer = agent.make_buffer(fragment, n_workers)
-
-        env_step_s = self.cost_model.env_step_s(n_stages, 1, self.profile)
-        landings: list[float] = []
-        curve: list[tuple[int, float]] = []
-
-        # Policy snapshots for staleness: remote groups act with the
-        # snapshot taken one update earlier than the local group.
-        fresh_state = agent.policy_state()
-        stale_state = agent.policy_state()
-
-        steps_done = 0
-        iteration = 0
-        while steps_done < spec.total_steps:
-            with telem.span("rollout", iteration=iteration) as rollout_span:
-                buffer.reset()
-                # ---- real rollout collection (lockstep over workers,
-                # grouped by acting-policy version)
-                current_state = agent.policy_state()
-                for t in range(fragment):
-                    obs_batch = np.stack([w.obs for w in workers])
-                    actions = np.zeros((n_workers, act_dim))
-                    log_probs = np.zeros(n_workers)
-                    values = np.zeros(n_workers)
-                    for node, members in groups.items():
-                        use_stale = layout.stale_remote_policy and node != layout.learner_node
-                        agent.load_policy_state(stale_state if use_stale else current_state)
-                        out = agent.act(obs_batch[members])
-                        actions[members] = out["action"]
-                        log_probs[members] = out["log_prob"]
-                        values[members] = out["value"]
-                    rewards = np.zeros(n_workers)
-                    terms = np.zeros(n_workers, dtype=bool)
-                    truncs = np.zeros(n_workers, dtype=bool)
-                    boots = np.zeros(n_workers)
-                    next_obs = np.zeros_like(obs_batch)
-                    for i, w in enumerate(workers):
-                        try:
-                            o, r, term, trunc, info = w.step(actions[i])
-                        except Exception as exc:
-                            raise EnvStepError(steps_done + t * n_workers + i, exc) from exc
-                        rewards[i] = r
-                        terms[i] = term
-                        truncs[i] = trunc
-                        if term or trunc:
-                            landings.append(w.episode_score(info))
-                            if trunc and not term:
-                                boots[i] = agent.value(o[None])[0]
-                            o, _ = w.env.reset()
-                        w.obs = o
-                        next_obs[i] = o
-                    buffer.add(
-                        obs_batch, actions, log_probs, rewards, values, terms, truncs, boots
-                    )
-                last_values = np.zeros(n_workers)
-                for node, members in groups.items():
-                    use_stale = layout.stale_remote_policy and node != layout.learner_node
-                    agent.load_policy_state(stale_state if use_stale else current_state)
-                    last_values[members] = agent.value(
-                        np.stack([workers[i].obs for i in members])
-                    )
-                buffer.finish(last_values)
-
-            with telem.span("weight_sync", iteration=iteration):
-                agent.load_policy_state(current_state)
-                # shift staleness window: what was fresh is now stale
-                stale_state = fresh_state
-                fresh_state = current_state
-
-            with telem.span("update", iteration=iteration) as update_span:
-                agent.update(buffer)
-            steps_done += fragment * n_workers
-            if telem.enabled:
-                meters.histogram("ppo/rollout_s").observe(rollout_span.duration)
-                meters.histogram("ppo/update_s").observe(update_span.duration)
-                meters.counter("env_steps").inc(fragment * n_workers)
-                meters.counter("updates").inc()
-
-            iteration += 1
-            if landings:
-                checkpoint = float(np.mean(landings[-40:]))
-                curve.append((steps_done, checkpoint))
-                if callback is not None and callback(steps_done, checkpoint):
-                    break
-
-        # ---- virtual execution: replay the DAG of every iteration (twice
-        # when a fault plan is active — once clean, once faulted)
-        program = self._ppo_program(
-            spec, layout, groups, fragment, env_step_s, ppo_config, iteration
-        )
-        trace, fault_report = self._run_virtual(spec, layout, program)
-        return self._finalize(
-            spec,
-            agent,
-            trace,
-            landings,
-            curve,
-            steps_done,
-            layout,
-            telem,
-            fault_report=fault_report,
-            env_step_s=env_step_s,
-        )
-
-    def _train_ppo_vec(
-        self,
-        spec: TrainSpec,
-        callback: Callable[[int, float], bool] | None = None,
-        telemetry: Telemetry | None = None,
-    ) -> TrainResult:
-        """PPO with vectorized rollout collection.
-
-        Each of the layout's workers steps ``spec.n_envs`` episodes per
-        env call through one batched vector env covering all worker slots
-        (slot ``w * n_envs + j`` is worker ``w``'s ``j``-th episode). The
-        loop mirrors :meth:`_train_ppo` operation for operation — same
-        group-batched act calls, same policy-staleness window, same
-        boot-value and landing bookkeeping order — so at ``n_envs=1`` it
-        reproduces the single-env path bit for bit.
+        One env batch covers all worker slots (slot ``w * n_envs + j`` is
+        worker ``w``'s ``j``-th episode). Each step acts once per node
+        group; when the layout's remote policy is stale, remote groups act
+        with the weights of one update earlier. A truncated episode
+        bootstraps from its final observation, and finished episodes join
+        the learning curve in slot order.
         """
         telem = Telemetry.or_null(telemetry)
         meters = telem.trial_meters
@@ -542,7 +416,7 @@ class Framework:
         n_workers = layout.n_workers
         n_envs = spec.n_envs
         total = n_workers * n_envs
-        venv = make_vec(spec.env_id, total, **spec.env_kwargs)
+        venv = self._env_batch(spec, total)
         seeds = [
             self._seed(spec, f"env{w}" if j == 0 else f"env{w}.{j}")
             for w in range(n_workers)
@@ -567,6 +441,8 @@ class Framework:
         landings: list[float] = []
         curve: list[tuple[int, float]] = []
 
+        # Policy snapshots for staleness: remote groups act with the
+        # snapshot taken one update earlier than the local group.
         fresh_state = agent.policy_state()
         stale_state = agent.policy_state()
 
@@ -598,9 +474,7 @@ class Framework:
                     boots = np.zeros(total)
                     for i in np.flatnonzero(terms | truncs):
                         info = infos[i]
-                        landings.append(
-                            float(info.get("landing_score", info["episode"]["r"]))
-                        )
+                        landings.append(_episode_score(info))
                         if truncs[i] and not terms[i]:
                             boots[i] = agent.value(info["final_observation"][None])[0]
                     buffer.add(
@@ -616,6 +490,7 @@ class Framework:
 
             with telem.span("weight_sync", iteration=iteration):
                 agent.load_policy_state(current_state)
+                # shift staleness window: what was fresh is now stale
                 stale_state = fresh_state
                 fresh_state = current_state
 
@@ -635,6 +510,8 @@ class Framework:
                 if callback is not None and callback(steps_done, checkpoint):
                     break
 
+        # ---- virtual execution: replay the DAG of every iteration (twice
+        # when a fault plan is active — once clean, once faulted)
         program = self._ppo_program(
             spec,
             layout,
@@ -754,130 +631,21 @@ class Framework:
         callback: Callable[[int, float], bool] | None = None,
         telemetry: Telemetry | None = None,
     ) -> TrainResult:
+        """SAC: one sampler steps ``spec.n_envs`` episodes per env call.
+
+        The transitions of a call are fed to the agent row by row in slot
+        order, each ``observe`` followed by the update it makes due, so
+        observing and updating interleave one transition at a time at any
+        width. Rows stepped past ``total_steps`` within the final call are
+        discarded: the consumed step budget does not depend on the width.
+        """
         telem = Telemetry.or_null(telemetry)
         meters = telem.trial_meters
         layout = self.layout(spec)
         sampler_node = max(layout.groups())  # sampling lives on the last node
 
-        env = make(spec.env_id, **spec.env_kwargs)
-        obs_dim = int(np.prod(env.observation_space.shape))
-        act_dim = int(np.prod(env.action_space.shape))
-        n_stages = getattr(env.unwrapped, "rhs_evals_per_step", 6)
-        agent = SACAgent(obs_dim, act_dim, spec.sac, seed=self._seed(spec, "agent"))
-
-        env_step_s = self.cost_model.env_step_s(n_stages, 1, self.profile)
-        landings: list[float] = []
-        curve: list[tuple[int, float]] = []
-
-        obs, _ = env.reset(seed=self._seed(spec, "env"))
-        map_action = _action_mapper(env)
-        episode_return = 0.0
-        block = 100  # env steps per virtual task block
-        blocks: list[tuple[int, int]] = []  # (env steps, updates) per block
-        steps_done = 0
-        block_updates = 0
-        block_start = 0
-        iteration = 0
-        # SAC interleaves acting and updating step by step, too finely to
-        # wrap phases lexically: each block becomes one "rollout" span and
-        # the block's accumulated update time one coalesced "update" child.
-        telem_on = telem.enabled
-        # repro-lint: disable=RPR002 -- real-time span timing for telemetry only; spans land in volatile extras that table_fingerprint strips
-        clock = time.perf_counter
-        block_t0 = clock()
-        update_acc = 0.0
-        while steps_done < spec.total_steps:
-            out = agent.act(obs[None])
-            action = np.clip(out["action"][0], -1.0, 1.0)
-            try:
-                next_obs, reward, term, trunc, info = env.step(map_action(action))
-            except Exception as exc:
-                raise EnvStepError(steps_done, exc) from exc
-            episode_return += float(reward)
-            agent.observe(obs, action, float(reward), next_obs, bool(term))
-            if term or trunc:
-                landings.append(float(info.get("landing_score", episode_return)))
-                episode_return = 0.0
-                next_obs, _ = env.reset()
-            obs = next_obs
-            steps_done += 1
-            if agent.ready_to_update():
-                if telem_on:
-                    update_t0 = clock()
-                    agent.update()
-                    update_acc += clock() - update_t0
-                else:
-                    agent.update()
-                block_updates += spec.sac.updates_per_step
-
-            if steps_done - block_start >= block or steps_done >= spec.total_steps:
-                n_steps = steps_done - block_start
-                blocks.append((n_steps, block_updates))
-                if telem_on:
-                    now = clock()
-                    rollout_span = telem.tracer.record(
-                        "rollout", block_t0, now, iteration=iteration, steps=n_steps
-                    )
-                    if update_acc > 0.0:
-                        telem.tracer.record(
-                            "update",
-                            now - update_acc,
-                            now,
-                            parent_id=rollout_span.span_id,
-                            iteration=iteration,
-                        )
-                        meters.histogram("sac/update_s").observe(update_acc)
-                    meters.histogram("sac/block_s").observe(now - block_t0)
-                    meters.counter("env_steps").inc(n_steps)
-                    meters.counter("updates").inc(block_updates)
-                    block_t0 = now
-                    update_acc = 0.0
-                block_updates = 0
-                block_start = steps_done
-                iteration += 1
-                if landings:
-                    checkpoint = float(np.mean(landings[-40:]))
-                    curve.append((steps_done, checkpoint))
-                    if callback is not None and callback(steps_done, checkpoint):
-                        break
-
-        program = self._sac_program(spec, layout, sampler_node, env_step_s, blocks)
-        trace, fault_report = self._run_virtual(spec, layout, program)
-        return self._finalize(
-            spec,
-            agent,
-            trace,
-            landings,
-            curve,
-            steps_done,
-            layout,
-            telem,
-            fault_report=fault_report,
-            env_step_s=env_step_s,
-        )
-
-    def _train_sac_vec(
-        self,
-        spec: TrainSpec,
-        callback: Callable[[int, float], bool] | None = None,
-        telemetry: Telemetry | None = None,
-    ) -> TrainResult:
-        """SAC with vectorized env stepping.
-
-        One batched env advances ``spec.n_envs`` episodes per call; the
-        transitions of a batch are then fed to the agent row by row in env
-        order, preserving the serial observe → update interleaving. Rows
-        stepped past ``total_steps`` within the final batch are discarded,
-        so the consumed step budget matches the serial loop exactly. At
-        ``n_envs=1`` the loop reproduces :meth:`_train_sac` bit for bit.
-        """
-        telem = Telemetry.or_null(telemetry)
-        meters = telem.trial_meters
-        layout = self.layout(spec)
-        sampler_node = max(layout.groups())
-
         n_envs = spec.n_envs
-        venv = make_vec(spec.env_id, n_envs, **spec.env_kwargs)
+        venv = self._env_batch(spec, n_envs)
         obs_dim = int(np.prod(venv.single_observation_space.shape))
         act_dim = int(np.prod(venv.single_action_space.shape))
         n_stages = _vec_rhs_evals(venv)
@@ -892,12 +660,15 @@ class Framework:
         ]
         obs, _ = venv.reset(seed=seeds)
         map_action = _space_action_mapper(venv.single_action_space)
-        block = 100
-        blocks: list[tuple[int, int]] = []
+        block = 100  # env steps per virtual task block
+        blocks: list[tuple[int, int]] = []  # (env steps, updates) per block
         steps_done = 0
         block_updates = 0
         block_start = 0
         iteration = 0
+        # SAC interleaves acting and updating step by step, too finely to
+        # wrap phases lexically: each block becomes one "rollout" span and
+        # the block's accumulated update time one coalesced "update" child.
         telem_on = telem.enabled
         # repro-lint: disable=RPR002 -- real-time span timing for telemetry only; spans land in volatile extras that table_fingerprint strips
         clock = time.perf_counter
@@ -919,9 +690,7 @@ class Framework:
                     obs[i], actions[i], float(rewards[i]), terminal_obs, bool(terms[i])
                 )
                 if done:
-                    landings.append(
-                        float(info.get("landing_score", info["episode"]["r"]))
-                    )
+                    landings.append(_episode_score(info))
                 steps_done += 1
                 if agent.ready_to_update():
                     if telem_on:
@@ -1056,10 +825,7 @@ class Framework:
             meters.gauge("virtual_makespan_s").set(trace.makespan)
             meters.gauge("bytes_transferred").set(trace.bytes_transferred())
         with telem.span("evaluate", episodes=spec.eval_episodes):
-            if spec.vector_rollouts:
-                eval_reward = self._evaluate_vec(spec, agent)
-            else:
-                eval_reward = self._evaluate(spec, agent)
+            eval_reward = self._evaluate(spec, agent)
         scale = spec.paper_steps / max(steps_done, 1)
         nodes_used = sorted(
             set(layout.worker_nodes) | {layout.learner_node} | {t.node for t in trace.tasks}
@@ -1123,55 +889,37 @@ class Framework:
         )
 
     def _evaluate(self, spec: TrainSpec, agent: PPOAgent | SACAgent) -> float:
-        """Deterministic post-training evaluation (the Reward metric)."""
-        env = make(spec.env_id, **spec.env_kwargs)
-        map_action = _action_mapper(env)
-        scores = []
-        for episode in range(spec.eval_episodes):
-            obs, _ = env.reset(seed=1_000_000 + episode)
-            done = False
-            score = None
-            episode_return = 0.0
-            while not done:
-                action = agent.act(obs[None], deterministic=True)["action"][0]
-                obs, reward, term, trunc, info = env.step(map_action(action))
-                episode_return += float(reward)
-                done = term or trunc
-                score = info.get("landing_score", score)
-            scores.append(score if score is not None else episode_return)
-        return float(np.mean(scores))
+        """Deterministic post-training evaluation: the mean
+        :func:`_episode_score` of ``spec.eval_episodes`` episodes, episode
+        ``e`` seeded ``1_000_000 + e``.
 
-    def _evaluate_vec(self, spec: TrainSpec, agent: PPOAgent | SACAgent) -> float:
-        """Batched deterministic evaluation, bit-equal to :meth:`_evaluate`.
-
-        All ``eval_episodes`` episodes run as one vector env (episode
-        ``e`` seeded ``1_000_000 + e`` exactly as the serial loop seeds
-        its resets). Each env step makes one ``act`` call over every
-        episode still running. Deterministic acting draws no randomness
-        and is row-exact (:meth:`repro.rl.nn.MLP.forward_rows`): each
-        episode gets the action the serial loop's one-row call computes,
-        whichever episodes share the batch. Finished episodes keep their
-        last action and their results are ignored.
+        The episodes run in waves on one env batch: all at once when
+        ``n_envs > 1``, one at a time when ``n_envs == 1``. Each env step
+        makes one ``act`` call over the wave's running episodes.
+        Deterministic acting draws no randomness and is row-exact
+        (:meth:`repro.rl.nn.MLP.forward_rows`), so an episode gets the
+        same actions, and the same score, whatever the width. A finished
+        episode keeps its last action until its wave ends, and what its
+        slot does after that is ignored.
         """
-        venv = make_vec(spec.env_id, spec.eval_episodes, **spec.env_kwargs)
-        map_action = _space_action_mapper(venv.single_action_space)
-        act_dim = int(np.prod(venv.single_action_space.shape))
         n = spec.eval_episodes
-        obs, _ = venv.reset(seed=[1_000_000 + episode for episode in range(n)])
-        finished = np.zeros(n, dtype=bool)
-        scores: list[float | None] = [None] * n
-        returns = [0.0] * n
-        actions = np.zeros((n, act_dim))
-        while not finished.all():
-            live = np.flatnonzero(~finished)
-            actions[live] = agent.act(obs[live], deterministic=True)["action"]
-            obs, rewards, terms, truncs, infos = venv.step(map_action(actions))
-            for i in live:
-                returns[i] += float(rewards[i])
-                if "landing_score" in infos[i]:
-                    scores[i] = infos[i]["landing_score"]
-                if terms[i] or truncs[i]:
-                    finished[i] = True
-        return float(
-            np.mean([s if s is not None else returns[i] for i, s in enumerate(scores)])
-        )
+        width = n if spec.n_envs > 1 else 1
+        venv = self._env_batch(spec, width)
+        map_action = _space_action_mapper(venv.single_action_space)
+        scores: list[float | None] = []
+        for first in range(0, n, width):
+            obs, _ = venv.reset(seed=[1_000_000 + e for e in range(first, first + width)])
+            wave: list[float | None] = [None] * width
+            running = list(range(width))
+            while running:
+                if len(running) == width:  # spares the fancy-index copies per step
+                    actions = agent.act(obs, deterministic=True)["action"]
+                else:
+                    actions[running] = agent.act(obs[running], deterministic=True)["action"]
+                obs, _, terms, truncs, infos = venv.step(map_action(actions))
+                for i in running:
+                    if terms[i] or truncs[i]:
+                        wave[i] = _episode_score(infos[i])
+                running = [i for i in running if wave[i] is None]
+            scores += wave
+        return float(np.mean(scores))

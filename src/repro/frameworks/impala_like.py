@@ -26,11 +26,11 @@ from typing import Any, Callable
 import numpy as np
 
 from ..cluster import ClusterSimulator
-from ..envs import make
 from ..faults import RecoveryPolicy, ReDispatchRecovery
 from ..obs import Telemetry
 from ..rl.vtrace import VTraceAgent, VTraceConfig
-from .base import EnvStepError, Framework, TrainResult, TrainSpec, WorkerLayout, _Worker
+from .base import EnvStepError, Framework, TrainResult, TrainSpec, WorkerLayout
+from .base import _episode_score, _space_action_mapper, _vec_rhs_evals
 from .costmodel import FrameworkCostProfile
 
 __all__ = ["ImpalaLike"]
@@ -108,14 +108,13 @@ class ImpalaLike(Framework):
         layout = self.layout(spec)
         groups = layout.groups()
         n_workers = layout.n_workers
-        workers = [
-            _Worker(make(spec.env_id, **spec.env_kwargs), seed=self._seed(spec, f"env{i}"))
-            for i in range(n_workers)
-        ]
-        probe = workers[0].env
-        obs_dim = int(np.prod(probe.observation_space.shape))
-        act_dim = int(np.prod(probe.action_space.shape))
-        n_stages = getattr(probe.unwrapped, "rhs_evals_per_step", 6)
+        # one env slot per actor; n_envs only picks the env that backs them
+        venv = self._env_batch(spec, n_workers)
+        obs_batch, _ = venv.reset(seed=[self._seed(spec, f"env{i}") for i in range(n_workers)])
+        obs_dim = int(np.prod(venv.single_observation_space.shape))
+        act_dim = int(np.prod(venv.single_action_space.shape))
+        n_stages = _vec_rhs_evals(venv)
+        map_action = _space_action_mapper(venv.single_action_space)
 
         from ..rl import PPOConfig
 
@@ -153,26 +152,24 @@ class ImpalaLike(Framework):
             term_buf = np.zeros((T, N))
             logp_buf = np.zeros((T, N))
             for t in range(T):
-                obs_batch = np.stack([w.obs for w in workers])
                 out = agent.act(obs_batch)
                 obs_buf[t] = obs_batch
                 act_buf[t] = out["action"]
                 logp_buf[t] = out["log_prob"]
-                for i, w in enumerate(workers):
-                    try:
-                        o, r, term, trunc, info = w.step(out["action"][i])
-                    except Exception as exc:
-                        raise EnvStepError(steps_done + t * n_workers + i, exc) from exc
-                    rew_buf[t, i] = r
-                    term_buf[t, i] = float(term or trunc)
-                    if term or trunc:
-                        landings.append(w.episode_score(info))
-                        o, _ = w.env.reset()
-                    w.obs = o
-            bootstrap_obs = np.stack([w.obs for w in workers])
+                try:
+                    obs_batch, rewards, terms, truncs, infos = venv.step(
+                        map_action(out["action"])
+                    )
+                except Exception as exc:
+                    raise EnvStepError(steps_done + t * N, exc) from exc
+                done = terms | truncs
+                rew_buf[t] = rewards
+                term_buf[t] = done
+                for i in np.flatnonzero(done):
+                    landings.append(_episode_score(infos[i]))
 
             agent.load_policy_state(current_state)
-            agent.update(obs_buf, act_buf, rew_buf, term_buf, logp_buf, bootstrap_obs)
+            agent.update(obs_buf, act_buf, rew_buf, term_buf, logp_buf, obs_batch)
             snapshots.append(agent.policy_state())
             snapshots.pop(0)
             steps_done += T * N

@@ -177,9 +177,8 @@ class AirdropCaseStudy:
         Campaigns fold this into the content address of each trial
         (:class:`~repro.exec.TrialCache`), so two studies differing in
         scale, env parameters or cluster shape never share entries.
-        ``n_envs`` participates because the vectorized path is
-        bit-identical only at ``n_envs=1`` — results at different widths
-        are distinct measurements.
+        ``n_envs`` participates because results at different widths are
+        distinct measurements.
         """
         return {
             "case_study": type(self).__name__,

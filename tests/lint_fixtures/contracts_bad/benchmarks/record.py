@@ -1,9 +1,12 @@
-"""Drifted fixture: the gate reads a field the recorder never writes."""
+"""Drifted fixture: the gate reads fields the recorder never writes."""
 
 
 def record(args):
+    results = {}
+    for name in args.workloads:
+        results[name] = {"min_s": 1.0}
     payload = {
-        "workloads": {},
+        "workloads": results,
         "steps": args.steps,
     }
     return payload
@@ -11,4 +14,5 @@ def record(args):
 
 def compare(args):
     baseline, candidate = args.recordings
-    return baseline["workloads"], candidate["derived"]
+    base, cand = baseline["workloads"]["a"], candidate["workloads"]["a"]
+    return candidate["derived"], base["min_s"], cand["fingerprint_sha"]

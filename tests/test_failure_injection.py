@@ -49,6 +49,17 @@ class ExplodingEnv(Env):
         return np.zeros(3), 0.0, False, True, {}
 
 
+class SecondWorkerFirstEnv(ExplodingEnv):
+    """The first instance built burns its fuse after 40 steps, every later
+    one after 30, so the second of two lockstep workers raises first."""
+
+    built = 0
+
+    def __init__(self) -> None:
+        SecondWorkerFirstEnv.built += 1
+        super().__init__(fuse=40 if SecondWorkerFirstEnv.built == 1 else 30)
+
+
 class TestEnvNumericalFailure:
     def test_nonfinite_state_terminates_episode(self):
         """A numerically destroyed package ends the episode with a large
@@ -107,6 +118,19 @@ class TestFrameworkFailurePropagation:
         # the fuse burns on the ~30th local step of one of the workers;
         # the recorded index is the global (across-workers) step count
         assert 0 < exc.extras["env_step"] <= 100
+
+    @pytest.mark.parametrize("framework", ["stable", "impala"])
+    def test_env_step_is_the_failing_transition(self, framework):
+        register("SecondWorkerFirst-v0", SecondWorkerFirstEnv, max_episode_steps=10, force=True)
+        SecondWorkerFirstEnv.built = 0
+        spec = TrainSpec(
+            algorithm="ppo", n_nodes=1, cores_per_node=2,
+            env_id="SecondWorkerFirst-v0", total_steps=500, eval_episodes=1,
+        )
+        with pytest.raises(EnvStepError) as excinfo:
+            get_framework(framework).train(spec)
+        # worker 1 raises on its 30th step: lockstep transition 29 * 2 + 1
+        assert excinfo.value.extras["env_step"] == 59
 
     def test_campaign_records_structured_env_failure(self):
         register("Exploding-v0", ExplodingEnv, max_episode_steps=10, force=True)

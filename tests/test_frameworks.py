@@ -235,36 +235,60 @@ class TestGenericEnvironments:
 
     def test_action_mapper_scales_to_env_bounds(self):
         from repro.envs import Box, Env
-        from repro.frameworks.base import _action_mapper
+        from repro.frameworks.base import _space_action_mapper
 
         class TorqueEnv(Env):
             def __init__(self):
                 self.observation_space = Box(-1, 1, shape=(1,))
                 self.action_space = Box(-2.0, 2.0, shape=(1,))
 
-        mapper = _action_mapper(TorqueEnv())
+        mapper = _space_action_mapper(TorqueEnv().action_space)
         assert np.allclose(mapper(np.array([1.0])), [2.0])
         assert np.allclose(mapper(np.array([-1.0])), [-2.0])
         assert np.allclose(mapper(np.array([0.0])), [0.0])
         assert np.allclose(mapper(np.array([5.0])), [2.0])  # clipped first
 
     def test_action_mapper_identity_on_unit_box(self):
-        from repro.frameworks.base import _action_mapper
+        from repro.frameworks.base import _space_action_mapper
 
         import repro.airdrop
         from repro.envs import make as make_env
 
-        mapper = _action_mapper(make_env("Airdrop-v0"))
+        mapper = _space_action_mapper(make_env("Airdrop-v0").action_space)
         assert np.allclose(mapper(np.array([0.37])), [0.37])
 
     def test_action_mapper_unbounded_passthrough(self):
         from repro.envs import Box, Env
-        from repro.frameworks.base import _action_mapper
+        from repro.frameworks.base import _space_action_mapper
 
         class FreeEnv(Env):
             def __init__(self):
                 self.observation_space = Box(-1, 1, shape=(1,))
                 self.action_space = Box(-np.inf, np.inf, shape=(2,))
 
-        mapper = _action_mapper(FreeEnv())
+        mapper = _space_action_mapper(FreeEnv().action_space)
         assert np.allclose(mapper(np.array([0.5, -0.25])), [0.5, -0.25])
+
+    def test_action_mapper_is_bit_exact_to_the_clip_formula(self):
+        from repro.envs import Box
+        from repro.frameworks.base import _space_action_mapper
+
+        def reference(space, action):
+            bounded = np.isfinite(space.low) & np.isfinite(space.high)
+            low = np.where(bounded, space.low, -1.0)
+            high = np.where(bounded, space.high, 1.0)
+            unit = np.clip(np.asarray(action, dtype=np.float64), -1.0, 1.0)
+            return np.where(bounded, low + (unit + 1.0) * 0.5 * (high - low), unit)
+
+        rng = np.random.default_rng(0)
+        actions = rng.standard_normal((64, 4)) * 10.0 ** rng.integers(-20, 10, (64, 1))
+        actions[:8, 0] = [np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, -1.0, 1e-300]
+        spaces = [
+            Box(np.array([-1.0, -2.0, -np.inf, 0.0]), np.array([1.0, 2.0, 5.0, np.inf])),
+            Box(-2.0, 2.0, shape=(4,)),
+        ]
+        for space in spaces:
+            mapped = _space_action_mapper(space)(actions)
+            expected = reference(space, actions)
+            assert np.array_equal(mapped, expected, equal_nan=True)
+            assert np.array_equal(np.signbit(mapped), np.signbit(expected))

@@ -117,7 +117,7 @@ def test_contract_drift_messages_name_the_drifted_fields():
     assert "'metrics'" in by_rule["RPR101"]
     assert "'seed'" in by_rule["RPR102"]
     assert "secret_field" in by_rule["RPR103"] and "phantom_key" in by_rule["RPR103"]
-    assert "'derived'" in by_rule["RPR104"]
+    assert "'derived'" in by_rule["RPR104"] and "'fingerprint_sha'" in by_rule["RPR104"]
     assert "orphan_flag" in by_rule["RPR105"]
     assert "ghost_param" in by_rule["RPR106"] and "phantom_param" in by_rule["RPR106"]
 

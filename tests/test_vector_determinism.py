@@ -1,14 +1,14 @@
-"""Determinism matrix for the vectorized rollout path and the trial cache.
+"""Determinism matrix for the training loops and the trial cache.
 
 Three guarantees hold the whole performance story together:
 
 * deterministic acting is **row-exact**: row ``i`` of a batched
   ``act(..., deterministic=True)`` equals acting on observation ``i``
-  alone, so evaluation batches its episodes without changing an action;
-* ``n_envs=1`` with ``vectorize=True`` is **byte-identical** to the
-  historical single-env training path — same rewards, same virtual
-  times, same learning curves — so vectorization is opt-in purely for
-  speed;
+  alone, so an evaluation score does not depend on how many episodes
+  run at once;
+* each algorithm has one training loop, which at ``n_envs=1`` steps one
+  scalar env per slot; the native batched env in their place changes
+  no result — same rewards, same virtual times, same learning curves;
 * at ``n_envs>1`` a campaign's table fingerprint is a pure function of
   its seed: stable across the serial/thread/process executors and
   across cache-cold vs cache-warm runs.
@@ -20,9 +20,11 @@ import numpy as np
 import pytest
 
 import repro.classic  # noqa: F401  (registers Pendulum-v0)
+from repro.airdrop import AirdropVectorEnv
 from repro.core import RandomSearch
 from repro.core.serialization import table_fingerprint
-from repro.frameworks import TrainSpec, get_framework
+from repro.envs import make, make_vec
+from repro.frameworks import Framework, TrainSpec, get_framework
 from repro.obs import RingBufferSink, Telemetry
 from repro.paper import Scale, airdrop_parameter_space, table1_campaign
 from repro.rl import CategoricalPPOAgent, PPOAgent, SACAgent, VTraceAgent
@@ -72,26 +74,46 @@ def test_deterministic_act_rows_do_not_depend_on_the_batch(make_agent):
             assert batched["value"][i] == alone["value"][0], i
 
 
-_SERIAL_CASES = [
-    pytest.param(framework, algorithm, "Airdrop-v0", id=f"{algorithm}-{framework}")
-    for algorithm in ("ppo", "sac")
-    for framework in ("rllib", "stable", "tfagents")
-] + [
-    # no native vector env: rollouts and evaluation go through SyncVectorEnv
-    pytest.param("rllib", algorithm, "Pendulum-v0", id=f"{algorithm}-rllib-Pendulum-v0")
-    for algorithm in ("ppo", "sac")
-]
-
-
-@pytest.mark.parametrize("framework,algorithm,env_id", _SERIAL_CASES)
-def test_vectorized_n_envs_1_is_byte_identical_to_serial(framework, algorithm, env_id):
+@pytest.mark.parametrize(
+    "framework,algorithm",
+    [
+        pytest.param(framework, algorithm, id=f"{algorithm}-{framework}")
+        for algorithm in ("ppo", "sac")
+        for framework in ("rllib", "stable", "tfagents")
+    ],
+)
+def test_vectorized_n_envs_1_is_byte_identical_to_serial(framework, algorithm, monkeypatch):
     fw = get_framework(framework)
     n_nodes = 2 if fw.supports_multi_node and algorithm == "ppo" else 1
-    serial = fw.train(_spec(algorithm, n_nodes=n_nodes, env_id=env_id))
-    vectorized = fw.train(
-        _spec(algorithm, n_nodes=n_nodes, env_id=env_id, n_envs=1, vectorize=True)
-    )
+    spec = _spec(algorithm, n_nodes=n_nodes)
+    serial = fw.train(spec)
+
+    native: list[int] = []
+
+    def native_batch(spec: TrainSpec, n: int):
+        venv = make_vec(spec.env_id, n, **spec.env_kwargs)
+        assert isinstance(venv, AirdropVectorEnv)
+        native.append(n)
+        return venv
+
+    monkeypatch.setattr(Framework, "_env_batch", staticmethod(native_batch))
+    vectorized = fw.train(spec)
+    assert native, "the loops did not build their envs through Framework._env_batch"
     _assert_results_equal(serial, vectorized)
+
+
+@pytest.mark.parametrize("agent_cls", [PPOAgent, SACAgent], ids=["ppo", "sac"])
+@pytest.mark.parametrize("env_id", ["Airdrop-v0", "Pendulum-v0"])
+def test_evaluation_width_changes_no_score(env_id, agent_cls):
+    # Airdrop-v0 has a native batched env, Pendulum-v0 goes through
+    # SyncVectorEnv; n_envs=1 runs the 30 episodes one at a time on one
+    # scalar env, n_envs=8 all at once
+    env = make(env_id)
+    agent = agent_cls(env.observation_space.shape[0], env.action_space.shape[0], seed=1)
+    fw = get_framework("rllib")
+    one_at_a_time = fw._evaluate(_spec("ppo", env_id=env_id, n_envs=1), agent)
+    all_at_once = fw._evaluate(_spec("ppo", env_id=env_id, n_envs=8), agent)
+    assert one_at_a_time == all_at_once
 
 
 def test_vectorized_width_is_seed_deterministic():
