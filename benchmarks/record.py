@@ -45,7 +45,9 @@ from typing import Any, Callable
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 SCHEMA_VERSION = 1
-DEFAULT_STEPS = 800
+#: above ``SACConfig.learning_starts`` (1000), so every SAC trial makes
+#: gradient updates (606 per campaign); perfbench runs the same budget
+DEFAULT_STEPS = 1100
 DEFAULT_ROUNDS = 3
 DEFAULT_THRESHOLD = 0.15
 

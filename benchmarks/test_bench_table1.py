@@ -45,15 +45,17 @@ def test_bench_table1(benchmark, table1_report):
     t8 = trials[8].objectives["computation_time"]
     assert t2 < t5 < t8
 
-    # calibrated anchors: computation time within 15% of the paper
+    # calibrated anchors, as EXPERIMENTS.md states them: computation time
+    # within 3 % of the paper, energy within 7 % (the smallest round bounds
+    # the 20,000-step campaign meets: at most +2.8 % and -7.0 %)
     for solution, (_, _, _, _, minutes, kj) in PAPER_ANCHORS.items():
         measured_min = trials[solution].objectives["computation_time"] / 60.0
-        assert abs(measured_min - minutes) / minutes < 0.15, (
+        assert abs(measured_min - minutes) / minutes < 0.03, (
             f"solution {solution}: {measured_min:.1f} min vs paper {minutes} min"
         )
         if kj is not None:
             measured_kj = trials[solution].objectives["power_consumption"]
-            assert abs(measured_kj - kj) / kj < 0.15, (
+            assert abs(measured_kj - kj) / kj < 0.07, (
                 f"solution {solution}: {measured_kj:.0f} kJ vs paper {kj} kJ"
             )
 

@@ -11,15 +11,17 @@ quantity attached as JSON-safe ``extras``.
 
 from __future__ import annotations
 
-from typing import Iterable
+import math
 
 import numpy as np
+
+from .optim import Optimizer
 
 __all__ = ["DivergenceError", "check_finite_update"]
 
 
 class DivergenceError(RuntimeError):
-    """Training diverged: a loss or gradient went non-finite.
+    """Training diverged: a loss, a gradient or the gradient norm went non-finite.
 
     ``extras`` carries JSON-primitive context (algorithm, update index,
     which quantity blew up and its value rendered as a string) that the
@@ -44,22 +46,43 @@ def check_finite_update(
     algorithm: str,
     n_updates: int,
     losses: dict[str, float],
-    params: Iterable,
-) -> None:
-    """Guard one optimizer step: raise on any non-finite loss/gradient.
+    optimizer: Optimizer,
+) -> float:
+    """Guard ``optimizer``'s next step; return its global gradient norm.
 
     Called between the backward pass and ``optimizer.step()`` so a
-    divergence never contaminates the optimizer state. ``params`` are
-    :class:`~repro.rl.nn.Parameter` objects whose ``.grad`` is checked.
+    divergence never contaminates the optimizer state. Raises
+    :class:`DivergenceError` for the first non-finite loss, else for the
+    first parameter, in order, holding a non-finite gradient, else for a
+    norm that overflows although every gradient is finite (clipping by it
+    would zero every gradient).
+
+    One pass over the gradients: the per-parameter sums of squares that
+    make the norm are finite unless a gradient is non-finite or its
+    square overflows, and only then is that parameter searched. They are
+    taken parameter by parameter and added in parameter order, as
+    :func:`~repro.rl.nn.global_grad_norm` does, so the norm is the same
+    float. Pass it on to :func:`~repro.rl.nn.clip_grad_norm`.
     """
     for name, value in losses.items():
         if not np.isfinite(value):
             raise DivergenceError(algorithm, n_updates, name, float(value))
-    for param in params:
-        grad = param.grad
-        if grad is not None and not np.all(np.isfinite(grad)):
-            bad = np.asarray(grad, dtype=float)
-            sample = bad[~np.isfinite(bad)].flat[0]
-            raise DivergenceError(
-                algorithm, n_updates, f"grad[{param.name}]", float(sample)
-            )
+    grad = optimizer.flat.grad
+    squares = grad * grad
+    total = 0.0
+    start = 0
+    for param in optimizer.params:
+        stop = start + param.grad.size
+        # a contiguous slice sums like the parameter's own squared array
+        square_sum = float(np.add.reduce(squares[start:stop]))
+        if not math.isfinite(square_sum):
+            bad = param.grad[~np.isfinite(param.grad)]
+            if bad.size:
+                raise DivergenceError(
+                    algorithm, n_updates, f"grad[{param.name}]", float(bad.flat[0])
+                )
+        total += square_sum
+        start = stop
+    if not math.isfinite(total):
+        raise DivergenceError(algorithm, n_updates, "grad_norm", total)
+    return float(np.sqrt(total))

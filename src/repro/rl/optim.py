@@ -1,7 +1,10 @@
 """First-order optimizers operating on :class:`~repro.rl.nn.Parameter` lists.
 
-Updates are performed in place on ``Parameter.value`` so the networks keep
-their array references (no re-wiring after each step).
+The parameters an optimizer trains tile one flat buffer
+(:class:`~repro.rl.nn.ParameterStore`), so a step is one ufunc chain over
+that buffer, written in place: the networks keep their array references
+(no re-wiring after each step). Elementwise, the chain is the
+per-parameter update term for term, so it is bit-identical to it.
 """
 
 from __future__ import annotations
@@ -10,13 +13,13 @@ from typing import Iterable
 
 import numpy as np
 
-from .nn import Parameter
+from .nn import Parameter, flat_parameter
 
 __all__ = ["Optimizer", "SGD", "Adam"]
 
 
 class Optimizer:
-    """Base optimizer over a fixed parameter list."""
+    """Base optimizer over a fixed parameter list tiling one buffer."""
 
     def __init__(self, params: Iterable[Parameter], lr: float) -> None:
         self.params = list(params)
@@ -25,13 +28,14 @@ class Optimizer:
         if lr <= 0:
             raise ValueError("learning rate must be positive")
         self.lr = float(lr)
+        #: every parameter as one flat parameter (views, not copies)
+        self.flat = flat_parameter("optimizer", self.params)
 
     def step(self) -> None:
         raise NotImplementedError
 
     def zero_grad(self) -> None:
-        for p in self.params:
-            p.zero_grad()
+        self.flat.grad.fill(0.0)
 
 
 class SGD(Optimizer):
@@ -44,16 +48,17 @@ class SGD(Optimizer):
         if not 0.0 <= momentum < 1.0:
             raise ValueError("momentum must be in [0, 1)")
         self.momentum = float(momentum)
-        self._velocity = [np.zeros_like(p.value) for p in self.params]
+        self._velocity = np.zeros_like(self.flat.value)
 
     def step(self) -> None:
-        for p, v in zip(self.params, self._velocity, strict=True):
-            if self.momentum:
-                v *= self.momentum
-                v += p.grad
-                p.value -= self.lr * v
-            else:
-                p.value -= self.lr * p.grad
+        p = self.flat
+        if self.momentum:
+            v = self._velocity
+            v *= self.momentum
+            v += p.grad
+            p.value -= self.lr * v
+        else:
+            p.value -= self.lr * p.grad
 
 
 class Adam(Optimizer):
@@ -72,8 +77,8 @@ class Adam(Optimizer):
             raise ValueError("betas must be in [0, 1)")
         self.beta1, self.beta2 = float(beta1), float(beta2)
         self.eps = float(eps)
-        self._m = [np.zeros_like(p.value) for p in self.params]
-        self._v = [np.zeros_like(p.value) for p in self.params]
+        self._m = np.zeros_like(self.flat.value)
+        self._v = np.zeros_like(self.flat.value)
         self._t = 0
 
     def step(self) -> None:
@@ -81,12 +86,21 @@ class Adam(Optimizer):
         bias1 = 1.0 - self.beta1**self._t
         bias2 = 1.0 - self.beta2**self._t
         step_size = self.lr * np.sqrt(bias2) / bias1
-        for p, m, v in zip(self.params, self._m, self._v, strict=True):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * p.grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (p.grad * p.grad)
-            p.value -= step_size * m / (np.sqrt(v) + self.eps)
+        g, m, v = self.flat.grad, self._m, self._v
+        # m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g; p -= step*m/(sqrt(v)+eps),
+        # through two temporaries (IEEE products commute)
+        t = (1.0 - self.beta1) * g
+        m *= self.beta1
+        m += t
+        np.multiply(g, g, out=t)
+        t *= 1.0 - self.beta2
+        v *= self.beta2
+        v += t
+        np.sqrt(v, out=t)
+        t += self.eps
+        u = step_size * m
+        u /= t
+        self.flat.value -= u
 
     @property
     def t(self) -> int:

@@ -27,7 +27,7 @@ from .agent import Agent
 from .buffers import RolloutBatch, RolloutBuffer
 from .distributions import Categorical, DiagGaussian
 from .errors import check_finite_update
-from .nn import MLP, Parameter, clip_grad_norm
+from .nn import MLP, ParameterStore, clip_grad_norm
 from .optim import Adam
 
 __all__ = ["PPOConfig", "PPOAgent", "CategoricalPPOAgent"]
@@ -76,22 +76,26 @@ class PPOAgent(Agent):
         self.rng = np.random.default_rng(seed)
 
         cfg = self.config
+        actor_sizes = (obs_dim, *cfg.hidden_sizes, act_dim)
+        critic_sizes = (obs_dim, *cfg.hidden_sizes, 1)
+        # one store in optimizer order: actor, log_std, critic
+        store = ParameterStore(MLP.size_of(actor_sizes) + act_dim + MLP.size_of(critic_sizes))
         self.actor = MLP(
-            (obs_dim, *cfg.hidden_sizes, act_dim),
+            actor_sizes,
             rng=self.rng,
             activation=cfg.activation,
             out_gain=0.01,
             name="actor",
+            store=store,
         )
+        self.log_std = store.take("actor.log_std", np.full(act_dim, float(cfg.initial_log_std)))
         self.critic = MLP(
-            (obs_dim, *cfg.hidden_sizes, 1),
+            critic_sizes,
             rng=self.rng,
             activation=cfg.activation,
             out_gain=1.0,
             name="critic",
-        )
-        self.log_std = Parameter(
-            "actor.log_std", np.full(act_dim, float(cfg.initial_log_std))
+            store=store,
         )
         self._params = self.actor.parameters() + [self.log_std] + self.critic.parameters()
         self.optimizer = Adam(self._params, lr=cfg.learning_rate)
@@ -156,12 +160,12 @@ class PPOAgent(Agent):
         advantages = batch.advantages
         n = len(batch)
 
-        # ---- forward
+        # ---- actor: forward, loss gradients and backward run before the
+        # critic's forward, so one network's activations are alive at a time
         mean = self.actor.forward(obs)
         dist = DiagGaussian(mean, self.log_std.value)
         log_probs = dist.log_prob(actions)
-        entropy = dist.entropy()
-        values = self.critic.forward(obs)[:, 0]
+        entropy_mean = float(dist.entropy().mean())
 
         log_ratio = log_probs - batch.log_probs
         ratio = np.exp(log_ratio)
@@ -169,10 +173,7 @@ class PPOAgent(Agent):
         surr1 = ratio * advantages
         surr2 = clipped_ratio * advantages
         policy_loss = -np.minimum(surr1, surr2).mean()
-        value_loss = 0.5 * np.mean((values - batch.returns) ** 2)
-        entropy_mean = float(entropy.mean())
 
-        # ---- gradients
         # d(policy_loss)/d(log_prob): active branch of the min().
         use_unclipped = surr1 <= surr2
         inside_clip = (ratio > 1.0 - cfg.clip_range) & (ratio < 1.0 + cfg.clip_range)
@@ -184,22 +185,23 @@ class PPOAgent(Agent):
         # entropy bonus: loss -= ent_coef * H  → d/dlog_std = -ent_coef per dim
         dlog_std += -cfg.ent_coef * np.ones(self.act_dim)
 
-        dvalues = cfg.vf_coef * (values - batch.returns)[:, None] / n
-
-        self.actor.zero_grad()
-        self.critic.zero_grad()
-        self.log_std.zero_grad()
-        self.actor.backward(dmean)
-        self.critic.backward(dvalues)
+        self.optimizer.zero_grad()
+        self.actor.backward(dmean, input_grad=False)
         self.log_std.grad += dlog_std
 
-        check_finite_update(
+        # ---- critic
+        values = self.critic.forward(obs)[:, 0]
+        value_loss = 0.5 * np.mean((values - batch.returns) ** 2)
+        dvalues = cfg.vf_coef * (values - batch.returns)[:, None] / n
+        self.critic.backward(dvalues, input_grad=False)
+
+        grad_norm = check_finite_update(
             "ppo",
             self.n_updates,
             {"policy_loss": float(policy_loss), "value_loss": float(value_loss)},
-            self._params,
+            self.optimizer,
         )
-        grad_norm = clip_grad_norm(self._params, cfg.max_grad_norm)
+        clip_grad_norm(self._params, cfg.max_grad_norm, grad_norm)
         self.optimizer.step()
         self.n_updates += 1
 
@@ -265,19 +267,24 @@ class CategoricalPPOAgent(Agent):
         self.rng = np.random.default_rng(seed)
 
         cfg = self.config
+        actor_sizes = (obs_dim, *cfg.hidden_sizes, self.n_actions)
+        critic_sizes = (obs_dim, *cfg.hidden_sizes, 1)
+        store = ParameterStore(MLP.size_of(actor_sizes) + MLP.size_of(critic_sizes))
         self.actor = MLP(
-            (obs_dim, *cfg.hidden_sizes, self.n_actions),
+            actor_sizes,
             rng=self.rng,
             activation=cfg.activation,
             out_gain=0.01,
             name="actor",
+            store=store,
         )
         self.critic = MLP(
-            (obs_dim, *cfg.hidden_sizes, 1),
+            critic_sizes,
             rng=self.rng,
             activation=cfg.activation,
             out_gain=1.0,
             name="critic",
+            store=store,
         )
         self._params = self.actor.parameters() + self.critic.parameters()
         self.optimizer = Adam(self._params, lr=cfg.learning_rate)
@@ -333,10 +340,10 @@ class CategoricalPPOAgent(Agent):
         advantages = batch.advantages
         n = len(batch)
 
+        # actor first, then the critic (see PPOAgent._update_minibatch)
         dist = Categorical(self.actor.forward(obs))
         log_probs = dist.log_prob(actions)
         entropy = dist.entropy()
-        values = self.critic.forward(obs)[:, 0]
 
         log_ratio = log_probs - batch.log_probs
         ratio = np.exp(log_ratio)
@@ -344,7 +351,6 @@ class CategoricalPPOAgent(Agent):
         surr1 = ratio * advantages
         surr2 = clipped_ratio * advantages
         policy_loss = -np.minimum(surr1, surr2).mean()
-        value_loss = 0.5 * np.mean((values - batch.returns) ** 2)
 
         use_unclipped = surr1 <= surr2
         inside_clip = (ratio > 1.0 - cfg.clip_range) & (ratio < 1.0 + cfg.clip_range)
@@ -353,19 +359,20 @@ class CategoricalPPOAgent(Agent):
 
         dlogits = dl_dlogp[:, None] * dist.dlogp_dlogits(actions)
         dlogits += -cfg.ent_coef * dist.dentropy_dlogits() / n
-        dvalues = cfg.vf_coef * (values - batch.returns)[:, None] / n
+        self.optimizer.zero_grad()
+        self.actor.backward(dlogits, input_grad=False)
 
-        self.actor.zero_grad()
-        self.critic.zero_grad()
-        self.actor.backward(dlogits)
-        self.critic.backward(dvalues)
-        check_finite_update(
+        values = self.critic.forward(obs)[:, 0]
+        value_loss = 0.5 * np.mean((values - batch.returns) ** 2)
+        dvalues = cfg.vf_coef * (values - batch.returns)[:, None] / n
+        self.critic.backward(dvalues, input_grad=False)
+        grad_norm = check_finite_update(
             "ppo",
             self.n_updates,
             {"policy_loss": float(policy_loss), "value_loss": float(value_loss)},
-            self._params,
+            self.optimizer,
         )
-        grad_norm = clip_grad_norm(self._params, cfg.max_grad_norm)
+        clip_grad_norm(self._params, cfg.max_grad_norm, grad_norm)
         self.optimizer.step()
         self.n_updates += 1
 

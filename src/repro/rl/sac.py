@@ -27,7 +27,7 @@ from .buffers import ReplayBuffer, Transition
 from .prioritized import PrioritizedBatch, PrioritizedReplayBuffer
 from .distributions import LOG_STD_MAX, LOG_STD_MIN, TanhGaussian
 from .errors import check_finite_update
-from .nn import MLP, Parameter, clip_grad_norm
+from .nn import MLP, Parameter, ParameterStore, clip_grad_norm
 from .optim import Adam
 
 __all__ = ["SACConfig", "SACAgent"]
@@ -66,31 +66,39 @@ class SACConfig:
 class _QNetwork:
     """Q(s, a) head: an MLP over the concatenated state-action vector."""
 
-    def __init__(self, obs_dim: int, act_dim: int, cfg: SACConfig, rng, name: str) -> None:
+    def __init__(
+        self,
+        obs_dim: int,
+        act_dim: int,
+        cfg: SACConfig,
+        rng,
+        name: str,
+        store: ParameterStore | None = None,
+    ) -> None:
         self.net = MLP(
             (obs_dim + act_dim, *cfg.hidden_sizes, 1),
             rng=rng,
             activation=cfg.activation,
             out_gain=1.0,
             name=name,
+            store=store,
         )
         self.obs_dim = obs_dim
-        self.act_dim = act_dim
 
     def forward(self, obs: np.ndarray, actions: np.ndarray) -> np.ndarray:
         x = np.concatenate([obs, actions], axis=-1)
         return self.net.forward(x)[:, 0]
 
-    def backward(self, dq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Backprop ``dL/dQ`` → returns ``(dL/dobs, dL/dactions)``."""
-        dinput = self.net.backward(np.asarray(dq).reshape(-1, 1))
-        return dinput[:, : self.obs_dim], dinput[:, self.obs_dim :]
+    def backward(self, dq: np.ndarray, **which: bool) -> np.ndarray | None:
+        """Backprop ``dL/dQ``; returns ``dL/dactions`` unless ``input_grad=False``.
+
+        ``which`` selects gradients as for :meth:`MLP.backward`.
+        """
+        dinput = self.net.backward(dq.reshape(-1, 1), **which)
+        return None if dinput is None else dinput[:, self.obs_dim :]
 
     def parameters(self):
         return self.net.parameters()
-
-    def zero_grad(self) -> None:
-        self.net.zero_grad()
 
 
 class SACAgent(Agent):
@@ -117,8 +125,10 @@ class SACAgent(Agent):
             out_gain=0.01,
             name="policy",
         )
-        self.q1 = _QNetwork(obs_dim, act_dim, cfg, self.rng, "q1")
-        self.q2 = _QNetwork(obs_dim, act_dim, cfg, self.rng, "q2")
+        # one store for the heads one optimizer trains
+        q_store = ParameterStore(2 * MLP.size_of((obs_dim + act_dim, *cfg.hidden_sizes, 1)))
+        self.q1 = _QNetwork(obs_dim, act_dim, cfg, self.rng, "q1", q_store)
+        self.q2 = _QNetwork(obs_dim, act_dim, cfg, self.rng, "q2", q_store)
         self.q1_target = _QNetwork(obs_dim, act_dim, cfg, self.rng, "q1t")
         self.q2_target = _QNetwork(obs_dim, act_dim, cfg, self.rng, "q2t")
         self.q1_target.net.copy_from(self.q1.net)
@@ -223,22 +233,24 @@ class SACAgent(Agent):
         target = rewards + cfg.gamma * (1.0 - terminations) * min_q_t
 
         # ---- critic update (importance-weighted under prioritized replay)
+        err1 = self.q1.forward(obs, actions) - target
+        err2 = self.q2.forward(obs, actions) - target
         is_weights = getattr(batch, "weights", None)
-        w = np.ones(n) if is_weights is None else np.asarray(is_weights)
-        q1 = self.q1.forward(obs, actions)
-        q2 = self.q2.forward(obs, actions)
-        q_loss = 0.5 * float(np.mean(w * (q1 - target) ** 2) + np.mean(w * (q2 - target) ** 2))
-        self.q1.zero_grad()
-        self.q2.zero_grad()
-        self.q1.backward(w * (q1 - target) / n)
-        self.q2.backward(w * (q2 - target) / n)
-        check_finite_update(
-            "sac", self.n_updates, {"q_loss": q_loss}, self.q_optimizer.params
-        )
-        clip_grad_norm(self.q_optimizer.params, cfg.max_grad_norm)
+        if is_weights is None:
+            q_loss = 0.5 * float(np.mean(err1**2) + np.mean(err2**2))
+            dq1, dq2 = err1 / n, err2 / n
+        else:
+            w = np.asarray(is_weights)
+            q_loss = 0.5 * float(np.mean(w * err1**2) + np.mean(w * err2**2))
+            dq1, dq2 = w * err1 / n, w * err2 / n
+        self.q_optimizer.zero_grad()
+        self.q1.backward(dq1, input_grad=False)
+        self.q2.backward(dq2, input_grad=False)
+        grad_norm = check_finite_update("sac", self.n_updates, {"q_loss": q_loss}, self.q_optimizer)
+        clip_grad_norm(self.q_optimizer.params, cfg.max_grad_norm, grad_norm)
         self.q_optimizer.step()
         if isinstance(batch, PrioritizedBatch):
-            td_errors = 0.5 * (np.abs(q1 - target) + np.abs(q2 - target))
+            td_errors = 0.5 * (np.abs(err1) + np.abs(err2))
             self.buffer.update_priorities(batch.indices, td_errors)
 
         # ---- actor update (reparameterized)
@@ -254,28 +266,24 @@ class SACAgent(Agent):
         policy_loss = float(np.mean(self.alpha * logp - min_q_pi))
 
         # ∂L/∂a via the active Q head's input gradient (fresh forward passes
-        # above mean the caches are aligned).
+        # above mean the caches are aligned); the heads' parameter gradients
+        # are not needed here.
         dq1 = np.where(use_q1, -1.0, 0.0) / n
         dq2 = np.where(use_q1, 0.0, -1.0) / n
-        self.q1.zero_grad()
-        self.q2.zero_grad()
-        _, da_q1 = self.q1.backward(dq1)
-        _, da_q2 = self.q2.backward(dq2)
-        dL_daction = da_q1 + da_q2
+        dL_daction = self.q1.backward(dq1, param_grads=False) + self.q2.backward(
+            dq2, param_grads=False
+        )
         dL_dlogp = np.full(n, self.alpha / n)
         dmean, dlog_std = dist.grads_wrt_params(sample, dL_daction, dL_dlogp)
         # the log_std head is clipped; zero gradients outside the active range
         active = (raw_log_std > LOG_STD_MIN) & (raw_log_std < LOG_STD_MAX)
         dlog_std = np.where(active, dlog_std, 0.0)
-        self.policy.zero_grad()
-        self.policy.backward(np.concatenate([dmean, dlog_std], axis=-1))
-        check_finite_update(
-            "sac",
-            self.n_updates,
-            {"policy_loss": policy_loss},
-            self.policy_optimizer.params,
+        self.policy_optimizer.zero_grad()
+        self.policy.backward(np.concatenate([dmean, dlog_std], axis=-1), input_grad=False)
+        grad_norm = check_finite_update(
+            "sac", self.n_updates, {"policy_loss": policy_loss}, self.policy_optimizer
         )
-        clip_grad_norm(self.policy_optimizer.params, cfg.max_grad_norm)
+        clip_grad_norm(self.policy_optimizer.params, cfg.max_grad_norm, grad_norm)
         self.policy_optimizer.step()
 
         # ---- temperature update

@@ -28,7 +28,7 @@ import numpy as np
 
 from .agent import Agent
 from .distributions import DiagGaussian
-from .nn import MLP, Parameter, clip_grad_norm
+from .nn import MLP, ParameterStore, clip_grad_norm
 from .optim import Adam
 
 __all__ = ["vtrace_returns", "VTraceConfig", "VTraceAgent"]
@@ -111,21 +111,27 @@ class VTraceAgent(Agent):
         self.config = config or VTraceConfig()
         self.rng = np.random.default_rng(seed)
         cfg = self.config
+        actor_sizes = (obs_dim, *cfg.hidden_sizes, act_dim)
+        critic_sizes = (obs_dim, *cfg.hidden_sizes, 1)
+        # one store in optimizer order: actor, log_std, critic
+        store = ParameterStore(MLP.size_of(actor_sizes) + act_dim + MLP.size_of(critic_sizes))
         self.actor = MLP(
-            (obs_dim, *cfg.hidden_sizes, act_dim),
+            actor_sizes,
             rng=self.rng,
             activation=cfg.activation,
             out_gain=0.01,
             name="actor",
+            store=store,
         )
+        self.log_std = store.take("actor.log_std", np.full(act_dim, cfg.initial_log_std))
         self.critic = MLP(
-            (obs_dim, *cfg.hidden_sizes, 1),
+            critic_sizes,
             rng=self.rng,
             activation=cfg.activation,
             out_gain=1.0,
             name="critic",
+            store=store,
         )
-        self.log_std = Parameter("actor.log_std", np.full(act_dim, cfg.initial_log_std))
         self._params = self.actor.parameters() + [self.log_std] + self.critic.parameters()
         self.optimizer = Adam(self._params, lr=cfg.learning_rate)
         self._metrics: dict[str, Any] = {}
