@@ -5,10 +5,8 @@ from .batch import AirdropVectorEnv
 from .dynamics import (
     STATE_DIM,
     ParafoilParams,
-    make_batch_rhs,
     make_rhs,
     parafoil_rhs,
-    parafoil_rhs_batch,
     steady_bank,
     trim_glide_ratio,
     turn_radius,
@@ -19,10 +17,8 @@ from .integrators import (
     DOPRI5,
     RK23,
     ButcherTableau,
-    IntegrationResult,
     available_orders,
     get_integrator,
-    integrate_fixed,
 )
 from .reward import RewardConfig, interpolate_touchdown, landing_score, potential
 from .wind import WindConfig, WindModel
@@ -34,9 +30,7 @@ __all__ = [
     "STATE_DIM",
     "ParafoilParams",
     "parafoil_rhs",
-    "parafoil_rhs_batch",
     "make_rhs",
-    "make_batch_rhs",
     "steady_bank",
     "trim_glide_ratio",
     "turn_radius",
@@ -46,8 +40,6 @@ __all__ = [
     "DOP853",
     "get_integrator",
     "available_orders",
-    "integrate_fixed",
-    "IntegrationResult",
     "RewardConfig",
     "landing_score",
     "potential",

@@ -41,9 +41,7 @@ import numpy as np
 __all__ = [
     "ParafoilParams",
     "parafoil_rhs",
-    "parafoil_rhs_batch",
     "make_rhs",
-    "make_batch_rhs",
     "trim_glide_ratio",
     "turn_radius",
     "steady_bank",
@@ -55,7 +53,9 @@ IX, IY, IZ, IPSI, IOMEGA, IVH, IVZ, IPHI, IP = range(9)
 
 STATE_DIM = 9
 
-_GRAVITY = 9.81
+#: a numpy scalar, so a binary ufunc on a numpy-scalar operand skips the
+#: conversion of a Python float (same value, about half the call cost)
+_GRAVITY = np.float64(9.81)
 
 
 @dataclass(frozen=True)
@@ -108,31 +108,37 @@ def steady_bank(vh: float, omega: float) -> float:
 def parafoil_rhs(
     t: float,
     state: np.ndarray,
-    u: float,
+    u: float | np.ndarray,
     wind: np.ndarray,
     params: ParafoilParams,
 ) -> np.ndarray:
-    """Time derivative of the parafoil state.
+    """Time derivative of the parafoil state, over the trailing state axis.
+
+    Every operation is elementwise, so row ``i`` of a batch is
+    bit-identical to the call on row ``i`` alone. A ``(9,)`` row runs on
+    numpy scalars, which keeps one row as cheap as a dedicated scalar
+    model would be.
 
     Parameters
     ----------
     t:
         Time (the model is autonomous; kept for the integrator signature).
     state:
-        State vector ``[x, y, z, psi, omega, vh, vz, phi, p]``.
+        One state row ``[x, y, z, psi, omega, vh, vz, phi, p]`` of shape
+        ``(9,)``, or a batch of rows ``(N, 9)``; the result has its shape.
     u:
-        Steering command in ``[-1, 1]`` (positive = turn left).
+        Steering command in ``[-1, 1]`` (positive = turn left), a scalar
+        or ``(N,)``.
     wind:
-        Horizontal wind vector ``[wx, wy]`` frozen over the step.
+        Horizontal wind vector ``[wx, wy]`` frozen over the step, ``(2,)``
+        or ``(N, 2)``.
     params:
         Canopy parameters.
     """
-    psi = state[IPSI]
-    omega = state[IOMEGA]
-    vh = state[IVH]
-    vz = state[IVZ]
-    phi = state[IPHI]
-    p = state[IP]
+    columns = state.T  # one entry (row) or column (batch) per state variable
+    psi, omega, vh, vz = columns[IPSI], columns[IOMEGA], columns[IVH], columns[IVZ]
+    phi, p = columns[IPHI], columns[IP]
+    wind = wind.T
 
     cos_psi = np.cos(psi)
     sin_psi = np.sin(psi)
@@ -151,11 +157,12 @@ def parafoil_rhs(
     omega_cmd = u * params.omega_max
     domega = (omega_cmd - omega) / params.tau_turn - params.turn_drag * omega * abs(omega)
 
-    # Roll pendulum, driven toward the coordinated-turn bank angle.
-    phi_ss = steady_bank(vh, omega)
+    # Roll pendulum, driven toward the coordinated-turn bank angle
+    # (:func:`steady_bank`).
+    phi_ss = np.arctan2(vh * omega, _GRAVITY)
     w0 = params.roll_omega0
     dphi = p
-    dp = -w0 * w0 * (np.sin(phi) - np.sin(phi_ss)) - 2.0 * params.roll_zeta * w0 * p
+    dp = -w0 * w0 * (sin_phi - np.sin(phi_ss)) - 2.0 * params.roll_zeta * w0 * p
 
     # Energy couplings: banking sheds lift (faster sink) and bleeds speed.
     vh_target = params.v_trim - params.bank_speed_loss * sin_phi_sq
@@ -163,84 +170,20 @@ def parafoil_rhs(
     dvh = (vh_target - vh) / params.tau_v
     dvz = (vz_target - vz) / params.tau_vz
 
-    return np.array([dx, dy, dz, omega, domega, dvh, dvz, dphi, dp])
+    return np.array([dx, dy, dz, omega, domega, dvh, dvz, dphi, dp]).T
 
 
-def parafoil_rhs_batch(
-    t: float,
-    states: np.ndarray,
-    u: np.ndarray,
-    wind: np.ndarray,
-    params: ParafoilParams,
-) -> np.ndarray:
-    """Time derivative of ``N`` parafoil states at once.
+def make_rhs(u: float | np.ndarray, wind: np.ndarray, params: ParafoilParams):
+    """Bind control and wind into an ``f(t, y)`` suitable for the integrators.
 
-    The batched twin of :func:`parafoil_rhs`: ``states`` is ``(N, 9)``,
-    ``u`` is ``(N,)`` and ``wind`` is ``(N, 2)``. Every operation is an
-    elementwise ufunc, so row ``i`` of the result is bit-identical to
-    ``parafoil_rhs(t, states[i], u[i], wind[i], params)`` — the property
-    the vectorized environment's exactness guarantee rests on.
+    The control is clipped to ``[-1, 1]``; ``u`` and ``wind`` are shaped
+    like the leading axes of the states ``f`` will be called on (a scalar
+    and ``(2,)`` for one row).
     """
-    psi = states[:, IPSI]
-    omega = states[:, IOMEGA]
-    vh = states[:, IVH]
-    vz = states[:, IVZ]
-    phi = states[:, IPHI]
-    p = states[:, IP]
-
-    cos_psi = np.cos(psi)
-    sin_psi = np.sin(psi)
-    sin_phi = np.sin(phi)
-    sin_phi_sq = sin_phi * sin_phi
-
-    v_lat = params.slip_gain * vh * sin_phi
-    dx = vh * cos_psi - v_lat * sin_psi + wind[:, 0]
-    dy = vh * sin_psi + v_lat * cos_psi + wind[:, 1]
-    dz = -vz
-
-    omega_cmd = u * params.omega_max
-    domega = (omega_cmd - omega) / params.tau_turn - params.turn_drag * omega * np.abs(omega)
-
-    phi_ss = np.arctan2(vh * omega, _GRAVITY)
-    w0 = params.roll_omega0
-    dphi = p
-    dp = -w0 * w0 * (np.sin(phi) - np.sin(phi_ss)) - 2.0 * params.roll_zeta * w0 * p
-
-    vh_target = params.v_trim - params.bank_speed_loss * sin_phi_sq
-    vz_target = params.vz_trim + params.bank_sink_gain * sin_phi_sq
-    dvh = (vh_target - vh) / params.tau_v
-    dvz = (vz_target - vz) / params.tau_vz
-
-    out = np.empty_like(states)
-    out[:, IX] = dx
-    out[:, IY] = dy
-    out[:, IZ] = dz
-    out[:, IPSI] = omega
-    out[:, IOMEGA] = domega
-    out[:, IVH] = dvh
-    out[:, IVZ] = dvz
-    out[:, IPHI] = dphi
-    out[:, IP] = dp
-    return out
-
-
-def make_rhs(u: float, wind: np.ndarray, params: ParafoilParams):
-    """Bind control and wind into an ``f(t, y)`` suitable for the integrators."""
-    u = float(np.clip(u, -1.0, 1.0))
+    u = np.minimum(np.maximum(u, -1.0), 1.0)
     wind = np.asarray(wind, dtype=np.float64)
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         return parafoil_rhs(t, y, u, wind, params)
-
-    return rhs
-
-
-def make_batch_rhs(u: np.ndarray, wind: np.ndarray, params: ParafoilParams):
-    """Bind per-env controls/winds into an ``f(t, Y)`` over ``(N, 9)`` states."""
-    u = np.clip(np.asarray(u, dtype=np.float64), -1.0, 1.0)
-    wind = np.asarray(wind, dtype=np.float64)
-
-    def rhs(t: float, states: np.ndarray) -> np.ndarray:
-        return parafoil_rhs_batch(t, states, u, wind, params)
 
     return rhs

@@ -15,11 +15,16 @@ Environment parameters mirror §IV-B: wind on/off, gusts on/off,
 ``gust_probability``, ``altitude_limits`` and the Runge–Kutta order
 (3, 5 or 8 — scipy's RK23 / DOPRI5 / DOP853 tableaus).
 
-Each control step costs ``n_substeps × n_stages`` right-hand-side
-evaluations, reported per step in ``info['rhs_evals']``; the cluster cost
-model charges virtual compute time proportional to it, which is how the
+Each control step costs ``n_stages`` right-hand-side evaluations,
+reported per step in ``info['rhs_evals']``; the cluster cost model
+charges virtual compute time proportional to it, which is how the
 order-3/5/8 choice trades accuracy against computation time exactly as in
 the paper.
+
+:class:`AirdropEnv` is the one-row front of the shared simulation model
+(:mod:`repro.airdrop.model`): it steps a single ``(9,)`` state row, and
+:class:`~repro.airdrop.batch.AirdropVectorEnv` steps ``N`` rows through
+the same code.
 """
 
 from __future__ import annotations
@@ -29,109 +34,31 @@ from typing import Any
 import numpy as np
 
 from ..envs import Box, Env
-from .dynamics import (
-    IOMEGA,
-    IP,
-    IPHI,
-    IPSI,
-    IVH,
-    IVZ,
-    IX,
-    IY,
-    IZ,
-    STATE_DIM,
-    ParafoilParams,
-    make_rhs,
-    trim_glide_ratio,
-    turn_radius,
-)
-from .integrators import get_integrator
-from .reward import RewardConfig, interpolate_touchdown, landing_score, potential
-from .wind import WindConfig, WindModel
+from .model import OBS_DIM, AirdropModel
+from .wind import WindModel
 
 __all__ = ["AirdropEnv", "OBS_DIM"]
 
-#: Observation layout (see :meth:`AirdropEnv._observe`).
-OBS_DIM = 13
 
-_POSITION_SCALE = 500.0
-_ALTITUDE_SCALE = 500.0
+class AirdropEnv(AirdropModel, Env[np.ndarray, np.ndarray]):
+    """Precision-landing parafoil environment: one episode, one state row.
 
-
-class AirdropEnv(Env[np.ndarray, np.ndarray]):
-    """Precision-landing parafoil environment.
-
-    Parameters
-    ----------
-    rk_order:
-        Runge–Kutta order used to integrate the canopy dynamics (3, 5, 8).
-    dt:
-        Control period in seconds; one agent action is held for ``dt``.
-    n_substeps:
-        Fixed integration steps per control period (``h = dt / n_substeps``).
-    altitude_limits:
-        ``(low, high)`` drop-altitude interval, the paper default (30, 1000).
-    wind / gusts / gust_probability:
-        The §IV-B environment switches.
-    params / reward_config:
-        Physical and reward-shaping parameter overrides.
+    Takes the :class:`~repro.airdrop.model.AirdropModel` parameters
+    (``rk_order``, ``dt``, ``altitude_limits``, the wind switches,
+    ``params`` and ``reward_config``).
     """
 
     metadata = {"render_modes": []}
 
-    def __init__(
-        self,
-        rk_order: int = 5,
-        dt: float = 1.0,
-        n_substeps: int = 1,
-        altitude_limits: tuple[float, float] = (30.0, 1000.0),
-        wind: bool = False,
-        gusts: bool = False,
-        gust_probability: float = 0.05,
-        wind_speed: float = 3.0,
-        wind_direction_deg: float = 90.0,
-        params: ParafoilParams | None = None,
-        reward_config: RewardConfig | None = None,
-    ) -> None:
-        if dt <= 0:
-            raise ValueError("dt must be positive")
-        if n_substeps < 1:
-            raise ValueError("n_substeps must be >= 1")
-        low, high = float(altitude_limits[0]), float(altitude_limits[1])
-        if not 0 < low <= high:
-            raise ValueError("altitude_limits must satisfy 0 < low <= high")
-
-        self.rk_order = int(rk_order)
-        self.integrator = get_integrator(self.rk_order)
-        self.dt = float(dt)
-        self.n_substeps = int(n_substeps)
-        self.altitude_limits = (low, high)
-        self.params = params or ParafoilParams()
-        self.reward_config = reward_config or RewardConfig()
-        self.wind_model = WindModel(
-            WindConfig(
-                enable_wind=bool(wind),
-                wind_speed=float(wind_speed),
-                wind_direction_deg=float(wind_direction_deg),
-                enable_gusts=bool(gusts),
-                gust_probability=float(gust_probability),
-            )
-        )
-        self.target = np.zeros(2)
-
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
         self.observation_space = Box(low=-np.inf, high=np.inf, shape=(OBS_DIM,))
         self.action_space = Box(low=-1.0, high=1.0, shape=(1,))
-
+        self.wind_model = WindModel(self.wind_config)
         self._state: np.ndarray | None = None
         self._steps = 0
-        self._episode_rhs_evals = 0
 
     # ------------------------------------------------------------------ API
-    @property
-    def rhs_evals_per_step(self) -> int:
-        """Deterministic RHS-evaluation cost of one control step."""
-        return self.integrator.n_stages * self.n_substeps
-
     @property
     def state(self) -> np.ndarray:
         """A copy of the internal physical state (for analysis/tests)."""
@@ -143,146 +70,28 @@ class AirdropEnv(Env[np.ndarray, np.ndarray]):
         self, *, seed: int | None = None, options: dict[str, Any] | None = None
     ) -> tuple[np.ndarray, dict[str, Any]]:
         super().reset(seed=seed)
-        rng = self.np_random
-        options = options or {}
-
-        z0 = float(options.get("altitude", rng.uniform(*self.altitude_limits)))
-        glide = trim_glide_ratio(self.params)
-        max_range = glide * z0
-        min_radius = min(2.0 * turn_radius(self.params), 0.45 * max_range)
-        radius = float(
-            options.get("radius", rng.uniform(min_radius, 0.65 * max_range))
-        )
-        bearing = float(options.get("bearing", rng.uniform(0.0, 2.0 * np.pi)))
-        psi0 = float(options.get("heading", rng.uniform(-np.pi, np.pi)))
-
-        state = np.zeros(STATE_DIM)
-        state[IX] = radius * np.cos(bearing)
-        state[IY] = radius * np.sin(bearing)
-        state[IZ] = z0
-        state[IPSI] = psi0
-        state[IVH] = self.params.v_trim
-        state[IVZ] = self.params.vz_trim
-        self._state = state
+        self._state, info = self._draw(self.np_random, options)
         self._steps = 0
-        self._episode_rhs_evals = 0
         self.wind_model.reset()
-
-        info = {"drop_altitude": z0, "drop_radius": radius}
-        return self._observe(), info
+        return self._observe(self._state), info
 
     def step(
         self, action: np.ndarray
     ) -> tuple[np.ndarray, float, bool, bool, dict[str, Any]]:
-        if self._state is None:
-            raise RuntimeError("cannot step before reset()")
-        u = float(np.clip(np.asarray(action, dtype=np.float64).reshape(-1)[0], -1.0, 1.0))
-
-        wind = self.wind_model.update(self.np_random, self.dt)
-        rhs = make_rhs(u, wind, self.params)
-
         prev = self._state
-        phi_prev = potential(prev[IX], prev[IY], self.target, self.reward_config)
-
-        h = self.dt / self.n_substeps
-        y = prev.copy()
-        t = self._steps * self.dt
-        crossed: np.ndarray | None = None
-        before_cross = y
-        for _ in range(self.n_substeps):
-            y_before = y
-            y = self.integrator.step(rhs, t, y, h)
-            t += h
-            if y[IZ] <= 0.0 and crossed is None:
-                crossed = y
-                before_cross = y_before
-                break
-        self._episode_rhs_evals += self.rhs_evals_per_step
+        if prev is None:
+            raise RuntimeError("cannot step before reset()")
+        u = np.asarray(action, dtype=np.float64).reshape(-1)[0]
+        wind = self._static_wind
+        if wind is None:
+            wind = self.wind_model.update(self.np_random, self.dt)
         self._steps += 1
-
-        info: dict[str, Any] = {
-            "rhs_evals": self.rhs_evals_per_step,
-            "wind": wind.copy(),
-        }
-
-        if not np.all(np.isfinite(y)):
-            # Numerical failure (possible with a coarse low-order step):
-            # treat as a destroyed package far from the target. The
-            # restored state is sanitized so observations stay finite even
-            # if the corruption predated this step.
-            self._state = np.where(np.isfinite(prev), prev, 0.0)
-            info["numerical_failure"] = True
-            info["landing_score"] = -10.0
-            info["miss_distance"] = 10.0 * self.reward_config.distance_scale
-            return self._observe(), -10.0, True, False, info
-
-        if crossed is not None or y[IZ] <= 0.0:
-            landed = crossed if crossed is not None else y
-            x_td, y_td = interpolate_touchdown(before_cross, landed)
-            score = landing_score(x_td, y_td, self.target, self.reward_config)
-            final_state = landed.copy()
-            final_state[IX], final_state[IY], final_state[IZ] = x_td, y_td, 0.0
-            self._state = final_state
-            reward = score
-            if self.reward_config.shaping:
-                phi_new = potential(x_td, y_td, self.target, self.reward_config)
-                reward += self.reward_config.shaping_coef * (phi_new - phi_prev)
-            info["landing_score"] = score
-            info["miss_distance"] = -score * self.reward_config.distance_scale
-            info["touchdown"] = (x_td, y_td)
-            info["episode_rhs_evals"] = self._episode_rhs_evals
-            return self._observe(), float(reward), True, False, info
-
-        self._state = y
-        reward = 0.0
-        if self.reward_config.shaping:
-            phi_new = potential(y[IX], y[IY], self.target, self.reward_config)
-            reward = self.reward_config.shaping_coef * (phi_new - phi_prev)
-        return self._observe(), float(reward), False, False, info
-
-    # ------------------------------------------------------------ internals
-    def _observe(self) -> np.ndarray:
-        """Observation: rotation, position, orientation, velocity (§IV-A).
-
-        Layout (all roughly unit-scaled):
-
-        ====  =======================================================
-        0–1   position relative to target / 500 m
-        2     altitude / 500 m
-        3–4   orientation ``sin ψ, cos ψ``
-        5     rotation rate ``ω / ω_max``
-        6–7   velocities ``vh / v_trim``, ``vz / vz_trim``
-        8–9   canopy roll ``φ`` and roll rate ``p``
-        10–11 bearing to target relative to heading (sin, cos)
-        12    reachability: distance / (glide ratio × altitude)
-        ====  =======================================================
-        """
-        s = self._state
-        assert s is not None
-        dx = s[IX] - self.target[0]
-        dy = s[IY] - self.target[1]
-        dist = float(np.hypot(dx, dy))
-        bearing_to_target = np.arctan2(-dy, -dx)  # direction the canopy should fly
-        rel = bearing_to_target - s[IPSI]
-        glide_range = trim_glide_ratio(self.params) * max(s[IZ], 1e-6)
-        return np.array(
-            [
-                dx / _POSITION_SCALE,
-                dy / _POSITION_SCALE,
-                s[IZ] / _ALTITUDE_SCALE,
-                np.sin(s[IPSI]),
-                np.cos(s[IPSI]),
-                s[IOMEGA] / self.params.omega_max,
-                s[IVH] / self.params.v_trim,
-                s[IVZ] / self.params.vz_trim,
-                s[IPHI],
-                s[IP],
-                np.sin(rel),
-                np.cos(rel),
-                min(dist / glide_range, 3.0),
-            ],
-            dtype=np.float64,
+        info: dict[str, Any] = {"rhs_evals": self.rhs_evals_per_step, "wind": wind.copy()}
+        state, reward, terminated = self._settle(
+            prev, self._advance(prev, u, wind), self._steps, [info]
         )
+        self._state = state
+        return self._observe(state), float(reward), bool(terminated), False, info
 
     def __repr__(self) -> str:
         return (

@@ -3,23 +3,26 @@
 The paper varies "the Runge-Kutta methods order" of the airdrop simulator
 between the 3rd, 5th and 8th orders "which correspond to the values
 provided by the SciPy library" — i.e. the Bogacki–Shampine RK23 pair, the
-Dormand–Prince RK45 (DOPRI5) pair and Hairer's DOP853. We implement all
-three from their Butcher tableaus (the DOP853 coefficients are the
-published Hairer, Nørsett & Wanner values).
+Dormand–Prince RK45 (DOPRI5) pair and Hairer's DOP853. We implement the
+propagating solution of all three from their Butcher tableaus (the DOP853
+coefficients are the published Hairer, Nørsett & Wanner values).
 
-Two drivers are provided:
+:meth:`ButcherTableau.step` advances one fixed step; the per-step work is
+exactly ``n_stages`` right-hand-side evaluations, which is the quantity
+the cluster cost model charges for (order 3 → 3 stages, order 5 → 6,
+order 8 → 12).
 
-* :meth:`ButcherTableau.step` — one fixed step; the per-step work is
-  exactly ``n_stages`` right-hand-side evaluations, which is the quantity
-  the cluster cost model charges for (order 3 → 3 stages, order 5 → 6,
-  order 8 → 12).
-* :meth:`ButcherTableau.step_adaptive` — an error-controlled step using the
-  embedded lower-order solution, for accuracy studies.
-
-Everything is vectorized: a stage accumulates ``y + h * (K[:s].T @ A[s,:s])``
-with array operations only, per the HPC guide's "vectorize the inner loop"
-rule (the loop over stages is irreducible, the loop over state dimensions
-is not).
+A step runs over the trailing state axis: ``y`` is one state ``(n,)`` or
+a batch ``(N, n)`` with a correspondingly batched ``rhs``, through the
+same code. The stage derivatives live stage-first in memory, and each
+stage sum reads them through a view with the stage axis last, so every
+state is reduced by the same BLAS matrix-vector kernel, summing over the
+stages in the same order whatever the batch holds: row ``i`` of a batched
+step is bit-identical to stepping state ``i`` alone. (A contiguous
+stage-last buffer would send the sums to BLAS's other matrix-vector
+kernel, whose dot products round differently in the last bit.) The loop
+over stages is irreducible, the loop over state dimensions and rows is
+not.
 """
 
 from __future__ import annotations
@@ -36,8 +39,6 @@ __all__ = [
     "DOP853",
     "get_integrator",
     "available_orders",
-    "IntegrationResult",
-    "integrate_fixed",
 ]
 
 RHS = Callable[[float, np.ndarray], np.ndarray]
@@ -53,22 +54,20 @@ class ButcherTableau:
         Human-readable method name.
     order:
         Order of the propagating solution.
-    error_order:
-        Order of the embedded error estimator (``None`` if no estimator).
     a, b, c:
         Tableau coefficients; ``a`` is strictly lower triangular.
-    e:
-        Error-estimator weights such that ``err = h * K.T @ e``
-        (``None`` if no embedded pair).
     """
 
     name: str
     order: int
-    error_order: int | None
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
-    e: np.ndarray | None = None
+    #: ``(c_s, a[s, :s])`` of every stage after the first, looked up once
+    #: here rather than sliced on every stage of every step
+    _later_stages: tuple[tuple[float, np.ndarray], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         a = np.asarray(self.a, dtype=np.float64)
@@ -83,11 +82,9 @@ class ButcherTableau:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
-        if self.e is not None:
-            e = np.asarray(self.e, dtype=np.float64)
-            if e.shape != b.shape:
-                raise ValueError("error weights must have the same length as b")
-            object.__setattr__(self, "e", e)
+        object.__setattr__(
+            self, "_later_stages", tuple((float(c[s]), a[s, :s].copy()) for s in range(1, b.size))
+        )
 
     @property
     def n_stages(self) -> int:
@@ -95,82 +92,23 @@ class ButcherTableau:
         return int(self.b.size)
 
     def stages(self, rhs: RHS, t: float, y: np.ndarray, h: float) -> np.ndarray:
-        """Evaluate all stage derivatives ``K``.
+        """Evaluate all stage derivatives ``K``, shape ``(*y.shape, n_stages)``.
 
-        ``y`` may be a single state (shape ``(n,)``, giving ``K`` of shape
-        ``(n_stages, n)``) or a batch of states (shape ``(N, n)``, giving
-        ``K`` of shape ``(n_stages, N, n)``) when ``rhs`` itself is
-        batched. The batched stage accumulation uses a stacked
-        matrix-vector product, which reduces over the stage axis in the
-        same order as the single-state ``a @ k`` — row ``i`` of a batched
-        step is bit-identical to integrating state ``i`` alone.
+        ``K`` is stored stage-first and returned as a view with the stage
+        axis last, the layout every stage sum reads it in.
         """
         y = np.asarray(y, dtype=np.float64)
-        if y.ndim > 1:
-            k = np.empty((self.n_stages, *y.shape), dtype=np.float64)
-            k[0] = rhs(t, y)
-            for s in range(1, self.n_stages):
-                y_stage = y + h * (k[:s].transpose(1, 2, 0) @ self.a[s, :s])
-                k[s] = rhs(t + self.c[s] * h, y_stage)
-            return k
-        k = np.empty((self.n_stages, y.size), dtype=np.float64)
+        k = np.empty((self.n_stages, *y.shape), dtype=np.float64)
+        k_last = k.transpose(*range(1, k.ndim), 0)
         k[0] = rhs(t, y)
-        for s in range(1, self.n_stages):
-            y_stage = y + h * (self.a[s, :s] @ k[:s])
-            k[s] = rhs(t + self.c[s] * h, y_stage)
-        return k
+        for s, (c_s, a_s) in enumerate(self._later_stages, start=1):
+            k[s] = rhs(t + c_s * h, y + h * (k_last[..., :s] @ a_s))
+        return k_last
 
     def step(self, rhs: RHS, t: float, y: np.ndarray, h: float) -> np.ndarray:
-        """Advance ``y`` by one fixed step of size ``h``.
-
-        Accepts a single state ``(n,)`` or a batch ``(N, n)`` (with a
-        correspondingly batched ``rhs``); the batched path advances every
-        row exactly as the single-state path would.
-        """
-        k = self.stages(rhs, t, y, h)
+        """Advance ``y`` (one state or a batch of rows) by one step of size ``h``."""
         y = np.asarray(y, dtype=np.float64)
-        if y.ndim > 1:
-            return y + h * (k.transpose(1, 2, 0) @ self.b)
-        return y + h * (self.b @ k)
-
-    def error_estimate(self, k: np.ndarray, h: float) -> np.ndarray:
-        """Embedded local error estimate for pre-computed stages ``k``."""
-        if self.e is None:
-            raise ValueError(f"{self.name} has no embedded error estimator")
-        return h * (self.e @ k)
-
-    def step_adaptive(
-        self,
-        rhs: RHS,
-        t: float,
-        y: np.ndarray,
-        h: float,
-        rtol: float = 1e-6,
-        atol: float = 1e-9,
-        safety: float = 0.9,
-        min_factor: float = 0.2,
-        max_factor: float = 5.0,
-    ) -> tuple[np.ndarray, float, float, int]:
-        """One error-controlled step.
-
-        Returns ``(y_new, t_new, h_next, n_rhs_evals)``. The step is retried
-        with a smaller ``h`` until the scaled error norm drops below one.
-        """
-        y = np.asarray(y, dtype=np.float64)
-        n_evals = 0
-        err_exp = -1.0 / ((self.error_order or self.order - 1) + 1)
-        while True:
-            k = self.stages(rhs, t, y, h)
-            n_evals += self.n_stages
-            y_new = y + h * (self.b @ k)
-            scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-            err = self.error_estimate(k, h)
-            err_norm = float(np.sqrt(np.mean((err / scale) ** 2)))
-            if err_norm <= 1.0 or h <= 1e-12:
-                factor = max_factor if err_norm == 0.0 else safety * err_norm**err_exp
-                h_next = h * float(np.clip(factor, min_factor, max_factor))
-                return y_new, t + h, h_next, n_evals
-            h *= float(np.clip(safety * err_norm**err_exp, min_factor, 1.0))
+        return y + h * (self.stages(rhs, t, y, h) @ self.b)
 
     def __repr__(self) -> str:
         return f"ButcherTableau({self.name}, order={self.order}, stages={self.n_stages})"
@@ -178,15 +116,12 @@ class ButcherTableau:
 
 # --------------------------------------------------------------------------
 # Order 3: Bogacki–Shampine RK23 (scipy's ``RK23``). The propagating
-# solution is third order with 3 distinct stage evaluations; the embedded
-# second-order solution reuses the next step's first stage (FSAL), which we
-# expose as a 4-stage tableau for the adaptive driver.
+# solution is third order with 3 distinct stage evaluations.
 # --------------------------------------------------------------------------
 
 RK23 = ButcherTableau(
     name="RK23",
     order=3,
-    error_order=2,
     c=np.array([0.0, 1 / 2, 3 / 4]),
     a=np.array(
         [
@@ -198,33 +133,14 @@ RK23 = ButcherTableau(
     b=np.array([2 / 9, 1 / 3, 4 / 9]),
 )
 
-_RK23_EMBEDDED = ButcherTableau(
-    name="RK23(FSAL)",
-    order=3,
-    error_order=2,
-    c=np.array([0.0, 1 / 2, 3 / 4, 1.0]),
-    a=np.array(
-        [
-            [0.0, 0.0, 0.0, 0.0],
-            [1 / 2, 0.0, 0.0, 0.0],
-            [0.0, 3 / 4, 0.0, 0.0],
-            [2 / 9, 1 / 3, 4 / 9, 0.0],
-        ]
-    ),
-    b=np.array([2 / 9, 1 / 3, 4 / 9, 0.0]),
-    e=np.array([2 / 9 - 7 / 24, 1 / 3 - 1 / 4, 4 / 9 - 1 / 3, -1 / 8]),
-)
-
 # --------------------------------------------------------------------------
 # Order 5: Dormand–Prince DOPRI5 (scipy's ``RK45``). Six distinct stages
-# propagate the fifth-order solution; the seventh (FSAL) stage feeds the
-# embedded fourth-order error estimate.
+# propagate the fifth-order solution.
 # --------------------------------------------------------------------------
 
 DOPRI5 = ButcherTableau(
     name="DOPRI5",
     order=5,
-    error_order=4,
     c=np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0]),
     a=np.array(
         [
@@ -237,36 +153,6 @@ DOPRI5 = ButcherTableau(
         ]
     ),
     b=np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-)
-
-_DOPRI5_EMBEDDED = ButcherTableau(
-    name="DOPRI5(FSAL)",
-    order=5,
-    error_order=4,
-    c=np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0]),
-    a=np.array(
-        [
-            [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-            [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-            [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0, 0.0],
-            [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0, 0.0],
-            [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0, 0.0],
-            [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0, 0.0],
-            [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
-        ]
-    ),
-    b=np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0]),
-    e=np.array(
-        [
-            35 / 384 - 5179 / 57600,
-            0.0,
-            500 / 1113 - 7571 / 16695,
-            125 / 192 - 393 / 640,
-            -2187 / 6784 + 92097 / 339200,
-            11 / 84 - 187 / 2100,
-            -1 / 40,
-        ]
-    ),
 )
 
 # --------------------------------------------------------------------------
@@ -311,30 +197,15 @@ _DOP853_B = [
     0.04471061572777259,
 ]
 
-# DOP853 uses a composite (3rd+5th order) error estimate; E5 alone is the
-# standard fifth-order difference we use for the adaptive driver.
-_DOP853_E5 = [
-    0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044, -0.4957589496572502,
-    1.6643771824549864, -0.35032884874997366, 0.3341791187130175, 0.08192320648511571,
-    -0.022355307863886294,
-]
-
 DOP853 = ButcherTableau(
     name="DOP853",
     order=8,
-    error_order=5,
     c=np.array(_DOP853_C),
     a=np.array(_DOP853_A),
     b=np.array(_DOP853_B),
-    e=np.array(_DOP853_E5),
 )
 
 _BY_ORDER: dict[int, ButcherTableau] = {3: RK23, 5: DOPRI5, 8: DOP853}
-_ADAPTIVE_BY_ORDER: dict[int, ButcherTableau] = {
-    3: _RK23_EMBEDDED,
-    5: _DOPRI5_EMBEDDED,
-    8: DOP853,
-}
 
 
 def available_orders() -> list[int]:
@@ -342,62 +213,11 @@ def available_orders() -> list[int]:
     return sorted(_BY_ORDER)
 
 
-def get_integrator(order: int, adaptive: bool = False) -> ButcherTableau:
+def get_integrator(order: int) -> ButcherTableau:
     """Look up the tableau for a paper RK order (3, 5 or 8)."""
-    table = _ADAPTIVE_BY_ORDER if adaptive else _BY_ORDER
     try:
-        return table[int(order)]
+        return _BY_ORDER[int(order)]
     except (KeyError, ValueError):
         raise ValueError(
             f"unsupported Runge-Kutta order {order!r}; available: {available_orders()}"
         ) from None
-
-
-@dataclass
-class IntegrationResult:
-    """Dense output of a fixed-step integration run."""
-
-    t: np.ndarray
-    y: np.ndarray
-    n_rhs_evals: int = 0
-    method: str = ""
-    extras: dict = field(default_factory=dict)
-
-    @property
-    def y_final(self) -> np.ndarray:
-        return self.y[-1]
-
-
-def integrate_fixed(
-    rhs: RHS,
-    t_span: tuple[float, float],
-    y0: np.ndarray,
-    h: float,
-    method: ButcherTableau | int = DOPRI5,
-) -> IntegrationResult:
-    """Integrate ``rhs`` over ``t_span`` with fixed step ``h``.
-
-    The final step is shortened to land exactly on ``t_span[1]``.
-    """
-    if isinstance(method, int):
-        method = get_integrator(method)
-    t0, t1 = float(t_span[0]), float(t_span[1])
-    if t1 <= t0:
-        raise ValueError("t_span must be increasing")
-    if h <= 0:
-        raise ValueError("step size must be positive")
-    y = np.asarray(y0, dtype=np.float64).copy()
-    ts = [t0]
-    ys = [y.copy()]
-    t = t0
-    n_evals = 0
-    while t < t1 - 1e-12:
-        step = min(h, t1 - t)
-        y = method.step(rhs, t, y, step)
-        t += step
-        n_evals += method.n_stages
-        ts.append(t)
-        ys.append(y.copy())
-    return IntegrationResult(
-        t=np.asarray(ts), y=np.asarray(ys), n_rhs_evals=n_evals, method=method.name
-    )

@@ -23,6 +23,7 @@ unshaped landing score, reported in ``info['landing_score']``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
@@ -56,9 +57,12 @@ def horizontal_distance(x: float, y: float, target: np.ndarray) -> float:
     return float(np.hypot(x - target[0], y - target[1]))
 
 
-def potential(x: float, y: float, target: np.ndarray, config: RewardConfig) -> float:
-    """Shaping potential: negative scaled distance to the target."""
-    return -horizontal_distance(x, y, target) / config.distance_scale
+def potential(x: Any, y: Any, target: np.ndarray, config: RewardConfig) -> Any:
+    """Shaping potential: negative scaled distance to the target.
+
+    Elementwise: ``x`` and ``y`` may be scalars or arrays of rows.
+    """
+    return -np.hypot(x - target[0], y - target[1]) / config.distance_scale
 
 
 def landing_score(x: float, y: float, target: np.ndarray, config: RewardConfig) -> float:

@@ -381,11 +381,12 @@ class Framework:
         ``episode`` infos on the step that ends an episode. At
         ``n_envs > 1`` the slots come from :func:`~repro.envs.make_vec`,
         the registered native batched env when there is one. At
-        ``n_envs == 1`` each slot is one scalar :func:`~repro.envs.make`
-        env inside a :class:`~repro.envs.SyncVectorEnv`: SAC and
-        one-episode evaluation step a single row per call, where one
-        scalar ``Airdrop-v0`` step costs about a third of a one-row
-        native batch, and the single-env workload keeps stepping
+        ``n_envs == 1`` each slot is one :func:`~repro.envs.make` env
+        inside a :class:`~repro.envs.SyncVectorEnv`: SAC and one-episode
+        evaluation step a single row per call, and ``Airdrop-v0`` steps
+        one episode as a ``(9,)`` state row of the shared model, whose
+        arithmetic runs on numpy scalars at about a third of the cost
+        of a ``(1, 9)`` batch; the single-env workload keeps stepping
         ``AirdropEnv`` as the benchmarks expect.
         """
         if spec.n_envs > 1:
@@ -437,7 +438,7 @@ class Framework:
         fragment = max(32, self.effective_batch(spec) // total)
         buffer = agent.make_buffer(fragment, total)
 
-        env_step_s = self.cost_model.env_step_s(n_stages, 1, self.profile)
+        env_step_s = self.cost_model.env_step_s(n_stages, self.profile)
         landings: list[float] = []
         curve: list[tuple[int, float]] = []
 
@@ -651,7 +652,7 @@ class Framework:
         n_stages = _vec_rhs_evals(venv)
         agent = SACAgent(obs_dim, act_dim, spec.sac, seed=self._seed(spec, "agent"))
 
-        env_step_s = self.cost_model.env_step_s(n_stages, 1, self.profile)
+        env_step_s = self.cost_model.env_step_s(n_stages, self.profile)
         landings: list[float] = []
         curve: list[tuple[int, float]] = []
 

@@ -73,11 +73,9 @@ class CostModel:
             raise ValueError("cost constants must be non-negative")
 
     # ------------------------------------------------------------- helpers
-    def env_step_s(
-        self, n_stages: int, n_substeps: int, profile: FrameworkCostProfile
-    ) -> float:
+    def env_step_s(self, n_stages: int, profile: FrameworkCostProfile) -> float:
         """Virtual duration of one environment step under ``profile``."""
-        return profile.step_overhead_s + self.rk_stage_s * n_stages * n_substeps
+        return profile.step_overhead_s + self.rk_stage_s * n_stages
 
     def ppo_update_s(
         self,

@@ -131,7 +131,7 @@ class ImpalaLike(Framework):
         )
         fragment = max(32, self.effective_batch(spec) // n_workers)
 
-        env_step_s = self.cost_model.env_step_s(n_stages, 1, self.profile)
+        env_step_s = self.cost_model.env_step_s(n_stages, self.profile)
         landings: list[float] = []
         curve: list[tuple[int, float]] = []
 

@@ -105,7 +105,7 @@ def predict_anchor_minutes(
     profile = _PROFILES[framework]
     n_workers = nodes * cores
     sequential_steps = paper_steps / n_workers
-    sampling_s = sequential_steps * cost.env_step_s(_STAGES[rk], 1, profile)
+    sampling_s = sequential_steps * cost.env_step_s(_STAGES[rk], profile)
     update_s = cost.ppo_update_s(paper_steps, _EPOCHS[framework], cores, profile)
     return (sampling_s + update_s) / 60.0
 

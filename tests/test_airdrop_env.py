@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import pytest
 
-from repro.airdrop import AirdropEnv, ParafoilParams, RewardConfig
+from repro.airdrop import AirdropEnv, AirdropVectorEnv, ParafoilParams, RewardConfig
 from repro.airdrop.env import OBS_DIM
 from repro.airdrop.reward import interpolate_touchdown
 
@@ -33,19 +35,18 @@ class TestConstruction:
         env = AirdropEnv(rk_order=order)
         assert env.rhs_evals_per_step == stages
 
-    def test_substeps_multiply_cost(self):
-        env = AirdropEnv(rk_order=3, n_substeps=4)
-        assert env.rhs_evals_per_step == 12
-
-    def test_invalid_args(self):
+    @pytest.mark.parametrize("front", ["AirdropEnv", "AirdropVectorEnv"])
+    def test_invalid_args(self, front):
+        build = AirdropEnv if front == "AirdropEnv" else partial(AirdropVectorEnv, 2)
         with pytest.raises(ValueError):
-            AirdropEnv(dt=0.0)
+            build(dt=0.0)
         with pytest.raises(ValueError):
-            AirdropEnv(n_substeps=0)
+            build(altitude_limits=(0.0, 100.0))
         with pytest.raises(ValueError):
-            AirdropEnv(altitude_limits=(0.0, 100.0))
-        with pytest.raises(ValueError):
-            AirdropEnv(rk_order=4)
+            build(rk_order=4)
+        if front == "AirdropVectorEnv":
+            with pytest.raises(ValueError):
+                AirdropVectorEnv(0)
 
     def test_state_before_reset_raises(self):
         env = AirdropEnv()

@@ -14,7 +14,6 @@ from repro.airdrop.integrators import (
     ButcherTableau,
     available_orders,
     get_integrator,
-    integrate_fixed,
 )
 
 
@@ -40,7 +39,6 @@ class TestTableauStructure:
             ButcherTableau(
                 name="bad",
                 order=1,
-                error_order=None,
                 a=np.array([[0.0, 1.0], [0.0, 0.0]]),
                 b=np.array([0.5, 0.5]),
                 c=np.array([0.0, 1.0]),
@@ -51,7 +49,6 @@ class TestTableauStructure:
             ButcherTableau(
                 name="bad",
                 order=1,
-                error_order=None,
                 a=np.zeros((2, 2)),
                 b=np.array([1.0]),
                 c=np.array([0.0, 1.0]),
@@ -69,11 +66,6 @@ class TestLookup:
     def test_unknown_order_raises(self):
         with pytest.raises(ValueError):
             get_integrator(4)
-
-    def test_adaptive_variants_have_error_weights(self):
-        for order in available_orders():
-            tab = get_integrator(order, adaptive=True)
-            assert tab.e is not None
 
 
 class TestAccuracy:
@@ -126,57 +118,16 @@ class TestAccuracy:
         assert errors[3] > errors[5] > errors[8]
 
 
-class TestAdaptive:
-    def test_adaptive_step_controls_error(self):
-        rhs = lambda t, y: y
-        tab = get_integrator(5, adaptive=True)
-        y, t, h_next, n_evals = tab.step_adaptive(rhs, 0.0, np.array([1.0]), 0.5, rtol=1e-8)
-        assert np.isclose(y[0], np.exp(t), rtol=1e-6)
-        assert n_evals >= tab.n_stages
-        assert h_next > 0
-
-    def test_adaptive_shrinks_on_stiff_segment(self):
-        # fast transient: large initial h must be rejected and shrunk
-        rhs = lambda t, y: -50.0 * y
-        tab = get_integrator(3, adaptive=True)
-        y, t, h_next, n_evals = tab.step_adaptive(
-            rhs, 0.0, np.array([1.0]), 1.0, rtol=1e-6, atol=1e-9
-        )
-        assert t < 1.0  # the accepted step is smaller than requested
-        assert n_evals > tab.n_stages  # at least one rejection
-
-    def test_error_estimate_requires_embedded_pair(self):
-        with pytest.raises(ValueError):
-            RK23.error_estimate(np.zeros((3, 1)), 0.1)
-
-
 class TestIntegrateFixed:
-    def test_endpoint_exact(self):
-        rhs = lambda t, y: np.array([1.0])
-        res = integrate_fixed(rhs, (0.0, 1.0), np.array([0.0]), h=0.3, method=5)
-        assert np.isclose(res.t[-1], 1.0)
-        assert np.isclose(res.y_final[0], 1.0, atol=1e-12)
-
-    def test_rhs_eval_count(self):
-        rhs = lambda t, y: y
-        res = integrate_fixed(rhs, (0.0, 1.0), np.array([1.0]), h=0.25, method=3)
-        assert res.n_rhs_evals == 4 * 3  # 4 steps x 3 stages
-
-    def test_invalid_span_raises(self):
-        with pytest.raises(ValueError):
-            integrate_fixed(lambda t, y: y, (1.0, 0.0), np.array([1.0]), h=0.1)
-
-    def test_invalid_step_raises(self):
-        with pytest.raises(ValueError):
-            integrate_fixed(lambda t, y: y, (0.0, 1.0), np.array([1.0]), h=-0.1)
-
-    def test_method_by_order_int(self):
-        res = integrate_fixed(lambda t, y: y, (0.0, 0.5), np.array([1.0]), h=0.1, method=8)
-        assert res.method == "DOP853"
+    """Integration over an interval with fixed steps of :meth:`ButcherTableau.step`."""
 
     @given(st.floats(min_value=0.05, max_value=0.5))
     @settings(max_examples=20, deadline=None)
     def test_exponential_accuracy_property(self, h):
         rhs = lambda t, y: -y
-        res = integrate_fixed(rhs, (0.0, 1.0), np.array([1.0]), h=h, method=8)
-        assert np.isclose(res.y_final[0], np.exp(-1.0), rtol=1e-6)
+        y, t = np.array([1.0]), 0.0
+        while t < 1.0 - 1e-12:
+            step = min(h, 1.0 - t)  # the final step lands exactly on t = 1
+            y = DOP853.step(rhs, t, y, step)
+            t += step
+        assert np.isclose(y[0], np.exp(-1.0), rtol=1e-6)

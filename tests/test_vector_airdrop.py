@@ -12,12 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.airdrop import (
-    AirdropEnv,
-    AirdropVectorEnv,
-    parafoil_rhs,
-    parafoil_rhs_batch,
-)
+from repro.airdrop import AirdropEnv, AirdropVectorEnv, make_rhs, parafoil_rhs
 from repro.airdrop.dynamics import ParafoilParams
 from repro.airdrop.integrators import get_integrator
 from repro.envs import SyncVectorEnv, make_vec
@@ -45,6 +40,9 @@ def _assert_infos_equal(a: dict, b: dict) -> None:
         (1, dict(rk_order=5)),
         (3, dict(rk_order=3, wind=True, gusts=True)),
         (4, dict(rk_order=8, wind=True)),
+        # an unstable canopy at a coarse step: most episodes end in the
+        # numerical-failure branch, a few land
+        (4, dict(rk_order=3, dt=2.0, params=ParafoilParams(roll_omega0=6.0, roll_zeta=0.01))),
     ],
 )
 def test_lockstep_bit_identical_to_sync_vector(n_envs, kwargs):
@@ -92,28 +90,38 @@ def test_make_vec_prefers_native_vector_entry_point():
     assert obs.shape == venv.observation_space.shape
 
 
+@pytest.mark.parametrize("front", ["AirdropVectorEnv", "SyncVectorEnv"])
+def test_wrong_sized_action_batch_rejected(front):
+    venv = AirdropVectorEnv(2) if front == "AirdropVectorEnv" else _reference_vec(2)
+    venv.reset(seed=0)
+    with pytest.raises(ValueError, match="got 4 actions for 2 sub-envs"):
+        venv.step(np.zeros((4, 1)))
+
+
+def _random_rows(rng, n):
+    states = rng.normal(size=(n, 9)) * np.array([100, 100, 400, 5, 5, 3, 1, 1, 0.2])
+    states[:, 2] = np.abs(states[:, 2]) + 50.0
+    return states, rng.uniform(-1, 1, n), rng.normal(size=(n, 2))
+
+
 def test_batched_rhs_matches_serial_rows(rng):
     params = ParafoilParams()
-    states = rng.normal(size=(5, 9)) * np.array([100, 100, 400, 5, 5, 3, 1, 1, 0.2])
-    states[:, 2] = np.abs(states[:, 2]) + 50.0
-    u = rng.uniform(-1, 1, 5)
-    wind = rng.normal(size=(5, 2))
-    batched = parafoil_rhs_batch(0.0, states, u, wind, params)
+    states, u, wind = _random_rows(rng, 5)
+    batched = parafoil_rhs(0.0, states, u, wind, params)
+    assert batched.shape == states.shape
     for i in range(5):
-        row = parafoil_rhs(0.0, states[i], float(u[i]), wind[i], params)
+        row = parafoil_rhs(0.0, states[i], u[i], wind[i], params)
+        assert row.shape == (9,)
         assert np.array_equal(batched[i], row)
 
 
 @pytest.mark.parametrize("order", [3, 5, 8])
 def test_batched_integrator_matches_serial_rows(order, rng):
     tableau = get_integrator(order)
-
-    def rhs(t, y):
-        return np.sin(y) - 0.1 * y
-
-    ys = rng.normal(size=(4, 9))
-    stepped = tableau.step(rhs, 0.0, ys, 0.05)
-    assert stepped.shape == ys.shape
+    params = ParafoilParams()
+    states, u, wind = _random_rows(rng, 4)
+    stepped = tableau.step(make_rhs(u, wind, params), 0.0, states, 1.0)
+    assert stepped.shape == states.shape
     for i in range(4):
-        row = tableau.step(rhs, 0.0, ys[i], 0.05)
+        row = tableau.step(make_rhs(u[i], wind[i], params), 0.0, states[i], 1.0)
         assert np.array_equal(stepped[i], row)
