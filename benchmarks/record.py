@@ -42,6 +42,14 @@ import sys
 import time
 from typing import Any, Callable
 
+# One BLAS thread, as BENCH_baseline.json was recorded: with a pool per
+# process, the process and loopback workloads oversubscribe a 2-vCPU
+# runner (table1_process_vec8 read 21 s instead of 2-3 s) and the gate
+# times the thread pool instead of the code. Set before numpy is first
+# imported; the process and loopback workers inherit it.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 SCHEMA_VERSION = 1

@@ -390,7 +390,7 @@ class ProjectModel:
             current, depth = queue.popleft()
             if depth >= limit:
                 continue
-            for callee, _ in sorted(self.call_graph.get(current, [])):
+            for callee in sorted({c for c, _ in self.call_graph.get(current, [])}):
                 if callee in seen:
                     continue
                 seen.add(callee)

@@ -14,6 +14,7 @@ from typing import Iterable, Iterator
 
 from ...exec.cache import CODE_HASH_PACKAGES
 from ..engine import FileContext, Finding, Rule
+from ..model import dotted_name
 
 __all__ = [
     "UnseededRngRule",
@@ -25,18 +26,6 @@ __all__ = [
 #: packages whose results feed Table I / trial fingerprints: global RNG
 #: state or wall-clock reads here are reproducibility hazards
 MEASURED_PACKAGES = ("rl", "airdrop", "envs", "faults", "frameworks")
-
-
-def dotted(node: ast.AST) -> str | None:
-    """``a.b.c`` for a Name/Attribute chain, else ``None``."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    parts.append(node.id)
-    return ".".join(reversed(parts))
 
 
 #: stdlib ``random`` module functions that mutate/read the hidden global RNG
@@ -69,7 +58,7 @@ class UnseededRngRule(Rule):
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
-            name = dotted(node.func)
+            name = dotted_name(node.func)
             if name is None:
                 continue
             message = self._diagnose(name, node)
@@ -133,7 +122,7 @@ class WallClockRule(Rule):
             # aliases: the alias is how clock reads usually sneak in
             if not isinstance(node, ast.Attribute):
                 continue
-            name = dotted(node)
+            name = dotted_name(node)
             if name is None:
                 continue
             head, _, fn = name.rpartition(".")
@@ -182,7 +171,7 @@ class UnorderedHashRule(Rule):
                 yield from self._scan_payload(ctx, arg, sink)
 
     def _sink_kind(self, call: ast.Call) -> str | None:
-        name = dotted(call.func)
+        name = dotted_name(call.func)
         if name is None:
             return None
         head, _, fn = name.rpartition(".")
@@ -198,7 +187,7 @@ class UnorderedHashRule(Rule):
         self, ctx: FileContext, node: ast.AST, sink: str, in_sorted: bool = False
     ) -> Iterator[Finding]:
         if isinstance(node, ast.Call):
-            name = dotted(node.func)
+            name = dotted_name(node.func)
             if name == "sorted":
                 in_sorted = True
             elif (
@@ -228,12 +217,12 @@ class UnorderedHashRule(Rule):
     def _hazard(self, call: ast.Call, in_sorted: bool) -> str | None:
         if in_sorted:
             return None
-        name = dotted(call.func)
+        name = dotted_name(call.func)
         if name == "set":
             return "set(...) feeding a digest without sorted()"
         if isinstance(call.func, ast.Attribute) and call.func.attr == "keys":
             return (
-                f"{dotted(call.func) or '<expr>.keys'}() feeding a digest "
+                f"{dotted_name(call.func) or '<expr>.keys'}() feeding a digest "
                 "without sorted(); wrap in sorted(...) to pin the order"
             )
         return None

@@ -154,7 +154,7 @@ class _TaintRule(ModelRuleLike):
                 )
             if depth >= MAX_TAINT_HOPS:
                 continue
-            for callee, _site in sorted(model.call_graph.get(current, [])):
+            for callee in sorted({c for c, _ in model.call_graph.get(current, [])}):
                 if callee not in seen:
                     seen.add(callee)
                     parents[callee] = current

@@ -64,9 +64,6 @@ import numpy as np
 import repro.airdrop  # noqa: F401  (registers Airdrop-v0)
 from repro.airdrop import AirdropEnv
 from repro.core import (
-    LatinHypercube,
-    RandomSearch,
-    TPESampler,
     dump_report,
     load_table,
     parameter_effects,
@@ -86,11 +83,11 @@ from repro.obs import (
     validate_chrome_trace,
 )
 from repro.paper import (
+    EXPLORERS,
     PAPER_ANCHORS,
     Scale,
-    Table1Explorer,
-    airdrop_parameter_space,
     compare_all,
+    make_explorer,
     paper_rankers,
     predict_anchor_minutes,
     table1_campaign,
@@ -105,7 +102,7 @@ def _add_campaign_parser(subparsers) -> None:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--explorer",
-        choices=["table1", "random", "lhs", "tpe"],
+        choices=EXPLORERS,
         default="table1",
     )
     p.add_argument("--trials", type=int, default=18, help="budget for non-table1 explorers")
@@ -594,22 +591,6 @@ def _cmd_worker(args) -> int:
     return agent.run()
 
 
-def _make_explorer(args):
-    space = airdrop_parameter_space()
-    if args.explorer == "table1":
-        return Table1Explorer(space)
-    if args.explorer == "random":
-        return RandomSearch(space, n_trials=args.trials, seed=args.seed)
-    if args.explorer == "lhs":
-        return LatinHypercube(space, n_trials=args.trials, seed=args.seed)
-    return TPESampler(
-        space,
-        n_trials=args.trials,
-        seed=args.seed,
-        scalarize=lambda objs: -objs["reward"],
-    )
-
-
 def _cmd_campaign(args) -> int:
     fault_plan = None
     if args.fault_plan:
@@ -678,7 +659,7 @@ def _cmd_campaign(args) -> int:
     campaign = table1_campaign(
         seed=args.seed,
         scale=Scale(real_steps=args.steps),
-        explorer=_make_explorer(args),
+        explorer=make_explorer(args.explorer, args.trials, args.seed),
         seed_strategy=args.seed_strategy,
         telemetry=telemetry,
         executor=executor,

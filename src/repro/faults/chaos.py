@@ -25,11 +25,12 @@ hashes are reproducible where clocks and RNG state are not.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import signal
 from dataclasses import dataclass
 from typing import Any, Callable
+
+from .codec import PlanCodec
 
 __all__ = [
     "WorkerKiller",
@@ -204,7 +205,7 @@ class FrameCorruption:
 
 
 @dataclass(frozen=True)
-class ChaosPlan:
+class ChaosPlan(PlanCodec):
     """A deterministic schedule of real-network chaos for the proxy.
 
     The same plan idiom as :class:`~repro.faults.plan.FaultPlan`:
@@ -214,6 +215,9 @@ class ChaosPlan:
     and results are byte-identical to a direct connection.
     """
 
+    KIND = "chaos plan"
+    FORMAT_VERSION = CHAOS_PLAN_FORMAT_VERSION
+
     partitions: tuple[LinkPartition, ...] = ()
     latencies: tuple[LinkLatency, ...] = ()
     throttles: tuple[LinkThrottle, ...] = ()
@@ -221,174 +225,12 @@ class ChaosPlan:
     seed: int = 0
     name: str = ""
 
-    def __post_init__(self) -> None:
-        # accept lists for ergonomic construction, store tuples (hashable,
-        # frozen, picklable)
-        for attr in ("partitions", "latencies", "throttles", "corruptions"):
-            value = getattr(self, attr)
-            if not isinstance(value, tuple):
-                object.__setattr__(self, attr, tuple(value))
-
-    # ------------------------------------------------------------- queries
-    @property
-    def is_empty(self) -> bool:
-        return not (
-            self.partitions or self.latencies or self.throttles or self.corruptions
-        )
-
-    @property
-    def n_events(self) -> int:
-        return (
-            len(self.partitions)
-            + len(self.latencies)
-            + len(self.throttles)
-            + len(self.corruptions)
-        )
-
     def validate(self) -> None:
         """Raise ``ValueError`` on an inconsistent plan."""
-        for partition in self.partitions:
-            partition.validate()
+        super().validate()
         seen_links = [p.link for p in self.partitions]
         if len(seen_links) != len(set(seen_links)):
             raise ValueError("at most one partition per link")
-        for latency in self.latencies:
-            latency.validate()
-        for throttle in self.throttles:
-            throttle.validate()
-        for corruption in self.corruptions:
-            corruption.validate()
-
-    # ------------------------------------------------------- serialization
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "format_version": CHAOS_PLAN_FORMAT_VERSION,
-            "name": self.name,
-            "seed": int(self.seed),
-            "partitions": [
-                {
-                    "link": p.link,
-                    "after_outcomes": int(p.after_outcomes),
-                    "heal_after_outcomes": None
-                    if p.heal_after_outcomes is None
-                    else int(p.heal_after_outcomes),
-                }
-                for p in self.partitions
-            ],
-            "latencies": [
-                {
-                    "delay_s": float(lat.delay_s),
-                    "link": lat.link,
-                    "after_outcomes": int(lat.after_outcomes),
-                    "for_outcomes": None
-                    if lat.for_outcomes is None
-                    else int(lat.for_outcomes),
-                }
-                for lat in self.latencies
-            ],
-            "throttles": [
-                {
-                    "bytes_per_s": float(th.bytes_per_s),
-                    "link": th.link,
-                    "after_outcomes": int(th.after_outcomes),
-                    "for_outcomes": None
-                    if th.for_outcomes is None
-                    else int(th.for_outcomes),
-                }
-                for th in self.throttles
-            ],
-            "corruptions": [
-                {
-                    "link": c.link,
-                    "frame_index": int(c.frame_index),
-                    "direction": c.direction,
-                    "mode": c.mode,
-                }
-                for c in self.corruptions
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "ChaosPlan":
-        version = payload.get("format_version", CHAOS_PLAN_FORMAT_VERSION)
-        if version != CHAOS_PLAN_FORMAT_VERSION:
-            raise ValueError(
-                f"unsupported chaos plan format_version {version!r} "
-                f"(this build reads {CHAOS_PLAN_FORMAT_VERSION})"
-            )
-        return cls(
-            partitions=tuple(
-                LinkPartition(
-                    link=int(p["link"]),
-                    after_outcomes=int(p.get("after_outcomes", 0)),
-                    heal_after_outcomes=None
-                    if p.get("heal_after_outcomes") is None
-                    else int(p["heal_after_outcomes"]),
-                )
-                for p in payload.get("partitions", [])
-            ),
-            latencies=tuple(
-                LinkLatency(
-                    delay_s=float(lat["delay_s"]),
-                    link=int(lat.get("link", -1)),
-                    after_outcomes=int(lat.get("after_outcomes", 0)),
-                    for_outcomes=None
-                    if lat.get("for_outcomes") is None
-                    else int(lat["for_outcomes"]),
-                )
-                for lat in payload.get("latencies", [])
-            ),
-            throttles=tuple(
-                LinkThrottle(
-                    bytes_per_s=float(th["bytes_per_s"]),
-                    link=int(th.get("link", -1)),
-                    after_outcomes=int(th.get("after_outcomes", 0)),
-                    for_outcomes=None
-                    if th.get("for_outcomes") is None
-                    else int(th["for_outcomes"]),
-                )
-                for th in payload.get("throttles", [])
-            ),
-            corruptions=tuple(
-                FrameCorruption(
-                    link=int(c["link"]),
-                    frame_index=int(c["frame_index"]),
-                    direction=str(c.get("direction", "up")),
-                    mode=str(c.get("mode", "truncate")),
-                )
-                for c in payload.get("corruptions", [])
-            ),
-            seed=int(payload.get("seed", 0)),
-            name=str(payload.get("name", "")),
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ChaosPlan":
-        return cls.from_dict(json.loads(text))
-
-    def save(self, path: str | os.PathLike) -> None:
-        with open(os.fspath(path), "w", encoding="utf-8") as handle:
-            handle.write(self.to_json())
-            handle.write("\n")
-
-    @classmethod
-    def load(cls, path: str | os.PathLike) -> "ChaosPlan":
-        with open(os.fspath(path), encoding="utf-8") as handle:
-            return cls.from_json(handle.read())
-
-    def plan_hash(self) -> str:
-        """Stable 12-hex digest of the plan's semantic content.
-
-        The ``name`` field is cosmetic and excluded, mirroring
-        :meth:`~repro.faults.plan.FaultPlan.plan_hash`.
-        """
-        payload = self.to_dict()
-        payload.pop("name", None)
-        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha1(canonical.encode()).hexdigest()[:12]
 
     def garbage_bytes(self, n: int, *key: Any) -> bytes:
         """``n`` seeded pseudo-random bytes for a ``garbage`` corruption.

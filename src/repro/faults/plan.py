@@ -32,11 +32,10 @@ fault-free run.
 from __future__ import annotations
 
 import hashlib
-import json
-import math
-import os
 from dataclasses import dataclass
 from typing import Any
+
+from .codec import PlanCodec
 
 __all__ = [
     "NodeCrash",
@@ -140,6 +139,11 @@ class TaskFailures:
     match: str = ""
     max_attempts: int = 3
 
+    @property
+    def n_events(self) -> int:
+        """A zero rate schedules no failure, so it is no event."""
+        return int(self.rate > 0.0)
+
     def validate(self) -> None:
         if not 0.0 <= self.rate < 1.0:
             raise ValueError(f"task failure rate must be in [0, 1), got {self.rate}")
@@ -148,8 +152,11 @@ class TaskFailures:
 
 
 @dataclass(frozen=True)
-class FaultPlan:
+class FaultPlan(PlanCodec):
     """A deterministic schedule of cluster faults in virtual time."""
+
+    KIND = "fault plan"
+    FORMAT_VERSION = PLAN_FORMAT_VERSION
 
     node_crashes: tuple[NodeCrash, ...] = ()
     stragglers: tuple[Straggler, ...] = ()
@@ -158,39 +165,17 @@ class FaultPlan:
     seed: int = 0
     name: str = ""
 
-    def __post_init__(self) -> None:
-        # accept lists for ergonomic construction, store tuples (hashable,
-        # frozen, picklable)
-        for attr in ("node_crashes", "stragglers", "link_faults"):
-            value = getattr(self, attr)
-            if not isinstance(value, tuple):
-                object.__setattr__(self, attr, tuple(value))
-
-    # ------------------------------------------------------------- queries
-    @property
-    def is_empty(self) -> bool:
-        return (
-            not self.node_crashes
-            and not self.stragglers
-            and not self.link_faults
-            and (self.task_failures is None or self.task_failures.rate == 0.0)
-        )
-
-    @property
-    def n_events(self) -> int:
-        n = len(self.node_crashes) + len(self.stragglers) + len(self.link_faults)
-        if self.task_failures is not None and self.task_failures.rate > 0.0:
-            n += 1
-        return n
-
     def validate(self, n_nodes: int | None = None) -> None:
         """Raise ``ValueError`` on an inconsistent plan."""
-        for crash in self.node_crashes:
-            crash.validate()
-            if n_nodes is not None and crash.node >= n_nodes:
-                raise ValueError(
-                    f"crash targets node {crash.node} but the cluster has {n_nodes} nodes"
-                )
+        super().validate()
+        if n_nodes is not None:
+            for kind, events in (("crash", self.node_crashes), ("straggler", self.stragglers)):
+                for event in events:
+                    if event.node >= n_nodes:
+                        raise ValueError(
+                            f"{kind} targets node {event.node} but the cluster has "
+                            f"{n_nodes} nodes"
+                        )
         by_node: dict[int, list[NodeCrash]] = {}
         for crash in self.node_crashes:
             by_node.setdefault(crash.node, []).append(crash)
@@ -202,139 +187,6 @@ class FaultPlan:
                         f"overlapping crash windows on node {node}: "
                         f"[{a.at}, {a.down_until}) and [{b.at}, {b.down_until})"
                     )
-        for straggler in self.stragglers:
-            straggler.validate()
-            if n_nodes is not None and straggler.node >= n_nodes:
-                raise ValueError(
-                    f"straggler targets node {straggler.node} but the cluster has "
-                    f"{n_nodes} nodes"
-                )
-        for link_fault in self.link_faults:
-            link_fault.validate()
-        if self.task_failures is not None:
-            self.task_failures.validate()
-
-    # ------------------------------------------------------- serialization
-    def to_dict(self) -> dict[str, Any]:
-        def _num(x: float) -> Any:
-            return None if x is None else float(x)
-
-        return {
-            "format_version": PLAN_FORMAT_VERSION,
-            "name": self.name,
-            "seed": int(self.seed),
-            "node_crashes": [
-                {"node": c.node, "at": float(c.at), "restart_after": _num(c.restart_after)}
-                for c in self.node_crashes
-            ],
-            "stragglers": [
-                {
-                    "node": s.node,
-                    "at": float(s.at),
-                    "duration": float(s.duration),
-                    "factor": float(s.factor),
-                }
-                for s in self.stragglers
-            ],
-            "link_faults": [
-                {
-                    "at": float(lf.at),
-                    "duration": float(lf.duration),
-                    "bandwidth_factor": float(lf.bandwidth_factor),
-                    "extra_latency_s": float(lf.extra_latency_s),
-                    "partition": bool(lf.partition),
-                }
-                for lf in self.link_faults
-            ],
-            "task_failures": None
-            if self.task_failures is None
-            else {
-                "rate": float(self.task_failures.rate),
-                "seed": int(self.task_failures.seed),
-                "match": self.task_failures.match,
-                "max_attempts": int(self.task_failures.max_attempts),
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "FaultPlan":
-        version = payload.get("format_version", PLAN_FORMAT_VERSION)
-        if version != PLAN_FORMAT_VERSION:
-            raise ValueError(
-                f"unsupported fault plan format_version {version!r} "
-                f"(this build reads {PLAN_FORMAT_VERSION})"
-            )
-        tf = payload.get("task_failures")
-        return cls(
-            node_crashes=tuple(
-                NodeCrash(
-                    node=int(c["node"]),
-                    at=float(c["at"]),
-                    restart_after=None
-                    if c.get("restart_after") is None
-                    else float(c["restart_after"]),
-                )
-                for c in payload.get("node_crashes", [])
-            ),
-            stragglers=tuple(
-                Straggler(
-                    node=int(s["node"]),
-                    at=float(s["at"]),
-                    duration=float(s["duration"]),
-                    factor=float(s.get("factor", 2.0)),
-                )
-                for s in payload.get("stragglers", [])
-            ),
-            link_faults=tuple(
-                LinkDegradation(
-                    at=float(lf["at"]),
-                    duration=float(lf["duration"]),
-                    bandwidth_factor=float(lf.get("bandwidth_factor", 1.0)),
-                    extra_latency_s=float(lf.get("extra_latency_s", 0.0)),
-                    partition=bool(lf.get("partition", False)),
-                )
-                for lf in payload.get("link_faults", [])
-            ),
-            task_failures=None
-            if tf is None
-            else TaskFailures(
-                rate=float(tf["rate"]),
-                seed=int(tf.get("seed", 0)),
-                match=str(tf.get("match", "")),
-                max_attempts=int(tf.get("max_attempts", 3)),
-            ),
-            seed=int(payload.get("seed", 0)),
-            name=str(payload.get("name", "")),
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "FaultPlan":
-        return cls.from_dict(json.loads(text))
-
-    def save(self, path: str | os.PathLike) -> None:
-        with open(os.fspath(path), "w", encoding="utf-8") as handle:
-            handle.write(self.to_json())
-            handle.write("\n")
-
-    @classmethod
-    def load(cls, path: str | os.PathLike) -> "FaultPlan":
-        with open(os.fspath(path), encoding="utf-8") as handle:
-            return cls.from_json(handle.read())
-
-    def plan_hash(self) -> str:
-        """Stable 12-hex digest of the plan's semantic content.
-
-        Pins the campaign journal identity: resuming a fault campaign
-        under a different plan must be rejected. The ``name`` field is
-        cosmetic and excluded.
-        """
-        payload = self.to_dict()
-        payload.pop("name", None)
-        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha1(canonical.encode()).hexdigest()[:12]
 
     # ------------------------------------------------------------ authoring
     @classmethod
@@ -459,10 +311,3 @@ class FaultPlan:
             lines.append("  (empty plan: fault path disabled, results byte-identical "
                          "to a fault-free run)")
         return "\n".join(lines)
-
-    @staticmethod
-    def restart_of(crash: NodeCrash) -> float | None:
-        """Absolute restart time of ``crash``, or None when it never restarts."""
-        if crash.restart_after is None or math.isinf(crash.down_until):
-            return None
-        return crash.down_until

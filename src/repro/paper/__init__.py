@@ -9,10 +9,12 @@ from .figures import (
     figure_front,
 )
 from .table1 import (
+    EXPLORERS,
     TABLE1_CONFIGS,
     AirdropCaseStudy,
     Table1Explorer,
     airdrop_parameter_space,
+    make_explorer,
     multi_node_needs_rllib,
     paper_metrics,
     paper_rankers,
@@ -28,6 +30,8 @@ __all__ = [
     "TABLE1_CONFIGS",
     "AirdropCaseStudy",
     "Table1Explorer",
+    "EXPLORERS",
+    "make_explorer",
     "airdrop_parameter_space",
     "multi_node_needs_rllib",
     "paper_metrics",

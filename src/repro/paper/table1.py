@@ -28,12 +28,15 @@ from ..core import (
     ComputationTime,
     Configuration,
     Explorer,
+    LatinHypercube,
     MetricSet,
     ParameterSpace,
     ParetoFrontRanking,
     PowerConsumption,
+    RandomSearch,
     RecoveryOverhead,
     Reward,
+    TPESampler,
     WorkLost,
 )
 from ..core.pruning import Pruner
@@ -49,6 +52,8 @@ __all__ = [
     "paper_rankers",
     "AirdropCaseStudy",
     "Table1Explorer",
+    "EXPLORERS",
+    "make_explorer",
     "table1_campaign",
 ]
 
@@ -259,6 +264,31 @@ class Table1Explorer(Explorer):
         config = Configuration(values, trial_id=solution)
         self._asked += 1
         return config
+
+
+#: the explorers every front offers (``repro campaign --explorer``, a
+#: ``repro serve`` spec's ``explorer``)
+EXPLORERS = ("table1", "random", "lhs", "tpe")
+
+
+def make_explorer(name: str, trials: int, seed: int) -> Explorer:
+    """The explorer called ``name`` over :func:`airdrop_parameter_space`.
+
+    ``table1`` replays the paper's 18 rows and ignores ``trials`` and
+    ``seed``; the others draw ``trials`` configurations from ``seed``.
+    """
+    space = airdrop_parameter_space()
+    if name == "table1":
+        return Table1Explorer(space)
+    if name == "random":
+        return RandomSearch(space, n_trials=trials, seed=seed)
+    if name == "lhs":
+        return LatinHypercube(space, n_trials=trials, seed=seed)
+    if name == "tpe":
+        return TPESampler(
+            space, n_trials=trials, seed=seed, scalarize=lambda objs: -objs["reward"]
+        )
+    raise ValueError(f"unknown explorer {name!r}; expected one of {list(EXPLORERS)}")
 
 
 def table1_campaign(

@@ -6,7 +6,6 @@ from .distributions import Categorical, DiagGaussian, TanhGaussian
 from .errors import DivergenceError, check_finite_update
 from .nn import MLP, Dense, Identity, Parameter, ReLU, Tanh, clip_grad_norm, orthogonal_init
 from .optim import SGD, Adam, Optimizer
-from .prioritized import PrioritizedBatch, PrioritizedReplayBuffer, SumTree
 from .ppo import CategoricalPPOAgent, PPOAgent, PPOConfig
 from .sac import SACAgent, SACConfig
 from .vtrace import VTraceAgent, VTraceConfig, vtrace_returns
@@ -30,9 +29,6 @@ __all__ = [
     "RolloutBuffer",
     "RolloutBatch",
     "ReplayBuffer",
-    "PrioritizedReplayBuffer",
-    "PrioritizedBatch",
-    "SumTree",
     "Transition",
     "compute_gae",
     "PPOAgent",

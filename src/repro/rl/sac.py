@@ -24,7 +24,6 @@ import numpy as np
 
 from .agent import Agent
 from .buffers import ReplayBuffer, Transition
-from .prioritized import PrioritizedBatch, PrioritizedReplayBuffer
 from .distributions import LOG_STD_MAX, LOG_STD_MIN, TanhGaussian
 from .errors import check_finite_update
 from .nn import MLP, Parameter, ParameterStore, clip_grad_norm
@@ -51,10 +50,6 @@ class SACConfig:
     alpha: float | None = None
     init_alpha: float = 0.2
     max_grad_norm: float = 10.0
-    #: Ape-X-style prioritized replay (extension; §II-A background)
-    prioritized_replay: bool = False
-    prioritized_alpha: float = 0.6
-    prioritized_beta: float = 0.4
 
     def __post_init__(self) -> None:
         if not 0.0 < self.tau <= 1.0:
@@ -143,16 +138,7 @@ class SACAgent(Agent):
         self.alpha_optimizer = Adam([self._log_alpha], lr=cfg.learning_rate)
         self.target_entropy = -float(act_dim)
 
-        if cfg.prioritized_replay:
-            self.buffer: ReplayBuffer | PrioritizedReplayBuffer = PrioritizedReplayBuffer(
-                cfg.buffer_capacity,
-                obs_dim,
-                act_dim,
-                alpha=cfg.prioritized_alpha,
-                beta=cfg.prioritized_beta,
-            )
-        else:
-            self.buffer = ReplayBuffer(cfg.buffer_capacity, obs_dim, act_dim)
+        self.buffer = ReplayBuffer(cfg.buffer_capacity, obs_dim, act_dim)
         self.total_env_steps = 0
         self.n_updates = 0
         self._metrics: dict[str, Any] = {}
@@ -232,26 +218,17 @@ class SACAgent(Agent):
         min_q_t = np.minimum(q1_t, q2_t) - self.alpha * next_logp
         target = rewards + cfg.gamma * (1.0 - terminations) * min_q_t
 
-        # ---- critic update (importance-weighted under prioritized replay)
+        # ---- critic update
         err1 = self.q1.forward(obs, actions) - target
         err2 = self.q2.forward(obs, actions) - target
-        is_weights = getattr(batch, "weights", None)
-        if is_weights is None:
-            q_loss = 0.5 * float(np.mean(err1**2) + np.mean(err2**2))
-            dq1, dq2 = err1 / n, err2 / n
-        else:
-            w = np.asarray(is_weights)
-            q_loss = 0.5 * float(np.mean(w * err1**2) + np.mean(w * err2**2))
-            dq1, dq2 = w * err1 / n, w * err2 / n
+        q_loss = 0.5 * float(np.mean(err1**2) + np.mean(err2**2))
+        dq1, dq2 = err1 / n, err2 / n
         self.q_optimizer.zero_grad()
         self.q1.backward(dq1, input_grad=False)
         self.q2.backward(dq2, input_grad=False)
         grad_norm = check_finite_update("sac", self.n_updates, {"q_loss": q_loss}, self.q_optimizer)
         clip_grad_norm(self.q_optimizer.params, cfg.max_grad_norm, grad_norm)
         self.q_optimizer.step()
-        if isinstance(batch, PrioritizedBatch):
-            td_errors = 0.5 * (np.abs(err1) + np.abs(err2))
-            self.buffer.update_priorities(batch.indices, td_errors)
 
         # ---- actor update (reparameterized)
         raw = self.policy.forward(obs)

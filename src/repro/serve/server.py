@@ -54,19 +54,15 @@ from typing import Any, Callable, Iterable, Iterator
 
 from ..core import (
     Campaign,
-    LatinHypercube,
-    RandomSearch,
-    TPESampler,
     table_fingerprint,
     table_to_dict,
     trial_to_dict,
 )
 from ..core.campaign import DecisionReport
-from ..core.exploration import Explorer
 from ..exec import CampaignJournal, RetryPolicy, TrialCache
 from ..faults import FaultPlan
 from ..obs import JsonlSink, MeterRegistry, Telemetry, chrome_trace, load_records
-from ..paper import Scale, Table1Explorer, airdrop_parameter_space, table1_campaign
+from ..paper import EXPLORERS, Scale, make_explorer, table1_campaign
 from .auth import TokenAuth
 from .dashboard import DASHBOARD_HTML
 from .queue import Job, JobQueue
@@ -76,9 +72,8 @@ __all__ = ["SpecError", "validate_spec", "CampaignService", "CampaignServer"]
 #: largest request body the server will read
 _MAX_BODY_BYTES = 1 << 20
 
-#: explorers a spec may name (remote execution is deliberately absent:
+#: executors a spec may name (remote execution is deliberately absent:
 #: the service owns its host; clients do not get to point it at fleets)
-_EXPLORERS = ("table1", "random", "lhs", "tpe")
 _EXECUTORS = ("serial", "thread", "process")
 _SEED_STRATEGIES = ("fixed", "increment")
 
@@ -134,8 +129,8 @@ def validate_spec(payload: Any) -> dict[str, Any]:
     _require(isinstance(spec["name"], str), "'name' must be a string")
     _require(len(spec["name"]) <= 120, "'name' must be at most 120 characters")
     _require(
-        spec["explorer"] in _EXPLORERS,
-        f"'explorer' must be one of {list(_EXPLORERS)}, got {spec['explorer']!r}",
+        spec["explorer"] in EXPLORERS,
+        f"'explorer' must be one of {list(EXPLORERS)}, got {spec['explorer']!r}",
     )
     _require(
         spec["executor"] in _EXECUTORS,
@@ -169,26 +164,10 @@ def validate_spec(payload: Any) -> dict[str, Any]:
         try:
             plan = FaultPlan.from_dict(spec["fault_plan"])
             plan.validate()
-        except (ValueError, KeyError, TypeError) as exc:
+        except ValueError as exc:
             raise SpecError(f"bad 'fault_plan': {exc}") from exc
         spec["fault_plan"] = plan.to_dict()
     return spec
-
-
-def _make_explorer(spec: dict[str, Any]) -> Explorer:
-    space = airdrop_parameter_space()
-    if spec["explorer"] == "table1":
-        return Table1Explorer(space)
-    if spec["explorer"] == "random":
-        return RandomSearch(space, n_trials=spec["trials"], seed=spec["seed"])
-    if spec["explorer"] == "lhs":
-        return LatinHypercube(space, n_trials=spec["trials"], seed=spec["seed"])
-    return TPESampler(
-        space,
-        n_trials=spec["trials"],
-        seed=spec["seed"],
-        scalarize=lambda objs: -objs["reward"],
-    )
 
 
 def expected_trials(spec: dict[str, Any]) -> int:
@@ -399,7 +378,7 @@ class CampaignService:
         return table1_campaign(
             seed=spec["seed"],
             scale=Scale(real_steps=spec["steps"]),
-            explorer=_make_explorer(spec),
+            explorer=make_explorer(spec["explorer"], spec["trials"], spec["seed"]),
             seed_strategy=spec["seed_strategy"],
             telemetry=telemetry,
             fault_plan=fault_plan,

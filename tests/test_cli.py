@@ -117,3 +117,38 @@ class TestExplorerFlags:
         )
         assert code == 0
         assert "Campaign results" in capsys.readouterr().out
+
+
+class TestFaultsCommand:
+    def test_generate_validate_describe(self, tmp_path, capsys):
+        path = str(tmp_path / "plan.json")
+        code = main(
+            ["faults", "generate", path, "--seed", "7", "--nodes", "2",
+             "--horizon", "6", "--intensity", "1.0"]
+        )
+        assert code == 0
+        assert "hash 10845cf8f532" in capsys.readouterr().out
+        assert main(["faults", "validate", path, "--nodes", "2"]) == 0
+        assert "valid for 2 node(s) — hash 10845cf8f532" in capsys.readouterr().out
+        assert main(["faults", "describe", path]) == 0
+        assert "hash 10845cf8f532" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            ('{"node_crashes": [{"node": 0}]}', "fault plan.node_crashes[0].at"),
+            ('{"node_crashs": [{"node": 0, "at": 1.0}]}', "fault plan.node_crashs"),
+            (
+                '{"stragglers": [{"node": 0, "at": 1.0, "duration": 2.0, "factor": NaN}]}',
+                "fault plan.stragglers[0].factor",
+            ),
+        ],
+        ids=["missing-key", "misspelled-key", "nan"],
+    )
+    def test_validate_refuses_a_malformed_plan(self, tmp_path, capsys, text, field):
+        path = tmp_path / "plan.json"
+        path.write_text(text)
+        assert main(["faults", "validate", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert field in captured.err
+        assert captured.out == ""

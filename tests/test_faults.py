@@ -1,16 +1,18 @@
 """Tests for the fault-injection & resilience layer (repro.faults).
 
-Covers the plan format (round-trip, hashing, validation, seeded
-sampling), the simulator's fault semantics (crash/restart, stragglers,
-link degradation, probabilistic task failures, recovery policies), the
-framework back-ends' recovery behavior, the resilience metrics and
-Pareto axis at campaign level, the cross-executor determinism of the
-whole fault path, journal identity pinning, and the Perfetto fault lane.
+Covers the plan format (round-trip, pinned hashes, strict decoding,
+validation, seeded sampling), the simulator's fault semantics
+(crash/restart, stragglers, link degradation, probabilistic task
+failures, recovery policies), the framework back-ends' recovery
+behavior, the resilience metrics and Pareto axis at campaign level, the
+cross-executor determinism of the whole fault path, journal identity
+pinning, and the Perfetto fault lane.
 """
 
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -28,11 +30,16 @@ from repro.core import (
 from repro.core.serialization import table_fingerprint
 from repro.exec import CampaignJournal, JournalMismatch, RetryPolicy
 from repro.faults import (
+    ChaosPlan,
     ClusterFaultError,
     DegradeRecovery,
     FailFastRecovery,
     FaultPlan,
+    FrameCorruption,
     LinkDegradation,
+    LinkLatency,
+    LinkPartition,
+    LinkThrottle,
     NodeCrash,
     ReDispatchRecovery,
     Straggler,
@@ -172,6 +179,9 @@ class TestFaultPlan:
         assert plan.is_empty
         assert plan.n_events == 0
         assert not CHAOS_PLAN.is_empty
+        # a zero rate schedules no failure: no event, and the fault path stays off
+        zero_rate = FaultPlan(task_failures=TaskFailures(rate=0.0))
+        assert zero_rate.is_empty and zero_rate.n_events == 0
 
     def test_validate_rejects_out_of_range_node(self):
         plan = FaultPlan(node_crashes=(NodeCrash(node=5, at=1.0),))
@@ -199,6 +209,143 @@ class TestFaultPlan:
         text = CHAOS_PLAN.describe()
         for word in ("crash", "straggler", "bandwidth", "failures"):
             assert word in text
+
+    # sha1 of canonical JSON, no numpy involved: every Python agrees. A
+    # change here moves every journal identity and trial-cache key.
+    @pytest.mark.parametrize(
+        "plan, digest",
+        [
+            (CHAOS_PLAN, "456620f9c38a"),
+            (
+                # CI's canned plan: repro faults generate --seed 7 --nodes 2 --horizon 6
+                FaultPlan.sample(
+                    seed=7, n_nodes=2, horizon_s=6.0, intensity=1.0, name="sampled-seed7"
+                ),
+                "10845cf8f532",
+            ),
+        ],
+        ids=["chaos", "ci-canned"],
+    )
+    def test_plan_hash_is_pinned(self, plan, digest):
+        assert plan.plan_hash() == digest
+
+
+# ------------------------------------------------------- strict decoding
+NET_PLAN = ChaosPlan(
+    partitions=(LinkPartition(link=0, after_outcomes=2, heal_after_outcomes=3),),
+    latencies=(LinkLatency(delay_s=0.05, link=1, for_outcomes=4),),
+    throttles=(LinkThrottle(bytes_per_s=1e6),),
+    corruptions=(FrameCorruption(link=0, frame_index=4, mode="garbage"),),
+    seed=7,
+    name="net",
+)
+NAN, INF, NEG_INF = json.loads("[NaN, Infinity, -Infinity]")
+
+
+def _put(*path_and_value):
+    *path, value = path_and_value
+
+    def mutate(payload):
+        *parents, last = path
+        for key in parents:
+            payload = payload[key]
+        payload[last] = value
+
+    return mutate
+
+
+def _drop(*path):
+    def mutate(payload):
+        *parents, last = path
+        for key in parents:
+            payload = payload[key]
+        del payload[last]
+
+    return mutate
+
+
+# (plan, how to break its payload, the field the error must name)
+REJECTIONS = {
+    "fault-unknown-top-key": (CHAOS_PLAN, _put("node_crash", []), "fault plan.node_crash"),
+    "fault-unknown-event-key": (
+        CHAOS_PLAN, _put("node_crashes", 0, "att", 1.0), "fault plan.node_crashes[0].att"
+    ),
+    "fault-missing-key": (
+        CHAOS_PLAN, _drop("node_crashes", 0, "at"), "fault plan.node_crashes[0].at"
+    ),
+    "fault-events-not-a-list": (
+        CHAOS_PLAN, _put("stragglers", {"node": 0}), "fault plan.stragglers"
+    ),
+    "fault-bool-as-number": (
+        CHAOS_PLAN, _put("node_crashes", 0, "at", True), "fault plan.node_crashes[0].at"
+    ),
+    "fault-string-as-bool": (
+        CHAOS_PLAN, _put("link_faults", 0, "partition", "false"),
+        "fault plan.link_faults[0].partition",
+    ),
+    "fault-number-as-string": (
+        CHAOS_PLAN, _put("task_failures", "match", 5), "fault plan.task_failures.match"
+    ),
+    "fault-fractional-node": (
+        CHAOS_PLAN, _put("stragglers", 0, "node", 1.5), "fault plan.stragglers[0].node"
+    ),
+    "fault-nan": (
+        CHAOS_PLAN, _put("stragglers", 0, "factor", NAN), "fault plan.stragglers[0].factor"
+    ),
+    "fault-infinity": (
+        CHAOS_PLAN, _put("node_crashes", 0, "restart_after", INF),
+        "fault plan.node_crashes[0].restart_after",
+    ),
+    "fault-minus-infinity": (
+        CHAOS_PLAN, _put("link_faults", 0, "at", NEG_INF), "fault plan.link_faults[0].at"
+    ),
+    "fault-format-version-2": (CHAOS_PLAN, _put("format_version", 2), "format_version"),
+    "chaos-unknown-top-key": (NET_PLAN, _put("partition", []), "chaos plan.partition"),
+    "chaos-unknown-event-key": (
+        NET_PLAN, _put("latencies", 0, "delay", 0.1), "chaos plan.latencies[0].delay"
+    ),
+    "chaos-missing-key": (
+        NET_PLAN, _drop("corruptions", 0, "frame_index"), "chaos plan.corruptions[0].frame_index"
+    ),
+    "chaos-events-not-a-list": (NET_PLAN, _put("throttles", "all"), "chaos plan.throttles"),
+    "chaos-bool-as-number": (
+        NET_PLAN, _put("latencies", 0, "delay_s", True), "chaos plan.latencies[0].delay_s"
+    ),
+    "chaos-number-as-string": (
+        NET_PLAN, _put("corruptions", 0, "direction", 5), "chaos plan.corruptions[0].direction"
+    ),
+    "chaos-fractional-link": (
+        NET_PLAN, _put("partitions", 0, "link", 1.5), "chaos plan.partitions[0].link"
+    ),
+    "chaos-nan": (
+        NET_PLAN, _put("throttles", 0, "bytes_per_s", NAN), "chaos plan.throttles[0].bytes_per_s"
+    ),
+    "chaos-infinity": (
+        NET_PLAN, _put("latencies", 0, "delay_s", INF), "chaos plan.latencies[0].delay_s"
+    ),
+    "chaos-minus-infinity": (
+        NET_PLAN, _put("throttles", 0, "bytes_per_s", NEG_INF),
+        "chaos plan.throttles[0].bytes_per_s",
+    ),
+    "chaos-format-version-2": (NET_PLAN, _put("format_version", 2), "format_version"),
+}
+
+
+class TestStrictDecoding:
+    @pytest.mark.parametrize("plan, mutate, field", REJECTIONS.values(), ids=REJECTIONS.keys())
+    def test_malformed_plan_is_refused_naming_the_field(self, plan, mutate, field):
+        payload = json.loads(json.dumps(plan.to_dict()))
+        mutate(payload)
+        with pytest.raises(ValueError, match=re.escape(field)):
+            type(plan).from_dict(payload)
+
+    @pytest.mark.parametrize(
+        "plan",
+        [CHAOS_PLAN, NET_PLAN, FaultPlan(), ChaosPlan()],
+        ids=["fault", "chaos", "empty-fault", "empty-chaos"],
+    )
+    def test_what_to_dict_writes_decodes(self, plan):
+        assert type(plan).from_json(plan.to_json()) == plan
 
 
 # --------------------------------------------------------- sim semantics

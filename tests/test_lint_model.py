@@ -138,6 +138,31 @@ def test_json_payload_carries_the_trace():
         assert isinstance(trace, list) and len(trace) == 3
 
 
+TWICE_KEYS = """
+import hashlib
+
+
+def _part(value):
+    return repr(value)
+
+
+def digest(a, b):
+    return hashlib.sha1((_part(a) + _part(b)).encode()).hexdigest()
+"""
+
+
+def test_walks_survive_a_helper_called_twice(tmp_path):
+    # one callee at two call sites: the walks must order callees, never
+    # the CallSite records, which have no ordering
+    model = build_model(tmp_path, {"twice/__init__.py": "", "twice/keys.py": TWICE_KEYS})
+    assert model.call_path("twice.keys.digest", "twice.keys._part") == [
+        "twice.keys.digest",
+        "twice.keys._part",
+    ]
+    report = LintEngine().run([tmp_path / "twice"])
+    assert report.active() == []
+
+
 # ------------------------------------------------------------ model units
 def build_model(tmp_path: Path, files: dict[str, str]) -> ProjectModel:
     contexts = []

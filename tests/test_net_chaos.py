@@ -135,9 +135,11 @@ class TestChaosPlan:
         path = tmp_path / "plan.json"
         plan.save(path)
         assert ChaosPlan.load(path) == plan
+        assert hash(ChaosPlan.load(path)) == hash(plan)  # lists were stored as tuples
 
     def test_hash_is_stable_and_ignores_the_name(self):
         plan = self.plan()
+        assert plan.plan_hash() == "666869a7e3b2"  # sha1 of canonical JSON: pinned
         renamed = ChaosPlan.from_dict(dict(plan.to_dict(), name="other"))
         assert plan.plan_hash() == renamed.plan_hash()
         reseeded = ChaosPlan.from_dict(dict(plan.to_dict(), seed=8))

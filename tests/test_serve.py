@@ -131,6 +131,12 @@ class TestValidateSpec:
             validate_spec({"fault_plan": {"format_version": 999}})
         with pytest.raises(SpecError, match="bad 'fault_plan'"):
             validate_spec({"fault_plan": {"task_failures": {}}})  # no rate
+        # a misspelled key would otherwise decode to a fault-free plan
+        with pytest.raises(SpecError, match=r"fault plan\.straglers"):
+            validate_spec({"fault_plan": {"straglers": [{"node": 0, "at": 1.0, "duration": 2.0}]}})
+        nan_factor = json.loads('{"node": 0, "at": 1.0, "duration": 2.0, "factor": NaN}')
+        with pytest.raises(SpecError, match=r"fault plan\.stragglers\[0\]\.factor"):
+            validate_spec({"fault_plan": {"stragglers": [nan_factor]}})
 
     def test_normalizes_valid_fault_plan(self):
         plan = {"seed": 7, "task_failures": {"rate": 0.1}}
@@ -655,12 +661,9 @@ class TestFinishedJobStreams:
 
         committed = 2
         monkeypatch.setattr(
-            "repro.serve.server._make_explorer",
-            lambda spec: _GivesOutExplorer(
-                airdrop_parameter_space(),
-                committed,
-                n_trials=spec["trials"],
-                seed=spec["seed"],
+            "repro.serve.server.make_explorer",
+            lambda name, trials, seed: _GivesOutExplorer(
+                airdrop_parameter_space(), committed, n_trials=trials, seed=seed
             ),
         )
         state = str(tmp_path / "state")
