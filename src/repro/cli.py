@@ -19,8 +19,9 @@ Commands
     touchdown summary — a sanity probe for environment configurations.
 
 ``calibration``
-    Print the closed-form calibration predictions against the paper's
-    timing anchors.
+    Print the planned computation time and energy of the paper's anchor
+    rows at its 200,000-step budget, priced from each row's cost plan
+    with no training, against the paper's published values.
 
 ``telemetry``
     Summarize a JSONL telemetry log written by ``campaign --telemetry``
@@ -64,6 +65,7 @@ import numpy as np
 import repro.airdrop  # noqa: F401  (registers Airdrop-v0)
 from repro.airdrop import AirdropEnv
 from repro.core import (
+    Configuration,
     dump_report,
     load_table,
     parameter_effects,
@@ -85,11 +87,12 @@ from repro.obs import (
 from repro.paper import (
     EXPLORERS,
     PAPER_ANCHORS,
+    TABLE1_CONFIGS,
+    AirdropCaseStudy,
     Scale,
     compare_all,
     make_explorer,
     paper_rankers,
-    predict_anchor_minutes,
     table1_campaign,
 )
 
@@ -430,7 +433,7 @@ def _add_episode_parser(subparsers) -> None:
 
 
 def _add_calibration_parser(subparsers) -> None:
-    subparsers.add_parser("calibration", help="print calibration vs paper anchors")
+    subparsers.add_parser("calibration", help="print the planned cost of the paper's anchor rows")
 
 
 def _add_faults_parser(subparsers) -> None:
@@ -718,14 +721,17 @@ def _cmd_campaign(args) -> int:
 
 def _cmd_faults(args) -> int:
     if args.action == "generate":
-        plan = FaultPlan.sample(
-            seed=args.seed,
-            n_nodes=args.nodes,
-            horizon_s=args.horizon,
-            intensity=args.intensity,
-            name=args.name or f"sampled-seed{args.seed}",
-        )
-        plan.validate(args.nodes)
+        try:
+            plan = FaultPlan.sample(
+                seed=args.seed,
+                n_nodes=args.nodes,
+                horizon_s=args.horizon,
+                intensity=args.intensity,
+                name=args.name or f"sampled-seed{args.seed}",
+            )
+        except ValueError as exc:
+            print(f"repro faults: cannot generate a plan: {exc}", file=sys.stderr)
+            return 1
         plan.save(args.output)
         print(f"wrote {args.output}")
         print(plan.describe())
@@ -925,13 +931,17 @@ def _cmd_episode(args) -> int:
 
 
 def _cmd_calibration(args) -> int:
-    print("closed-form calibration vs the paper's timing anchors:")
-    print(f"{'sol':>4} {'configuration':<28} {'paper':>8} {'predicted':>10} {'error':>7}")
-    for solution, (fw, rk, nodes, cores, minutes, _kj) in sorted(PAPER_ANCHORS.items()):
-        predicted = predict_anchor_minutes(solution)
-        err = (predicted - minutes) / minutes
-        config = f"{fw}/ppo/rk{rk}/{nodes}n x {cores}c"
-        print(f"{solution:>4} {config:<28} {minutes:>6.0f} m {predicted:>8.1f} m {err:>6.1%}")
+    study = AirdropCaseStudy(scale=Scale(real_steps=200_000))
+    print("planned cost at 200,000 steps (no training) vs the paper's anchors:")
+    print(f"{'sol':>4} {'configuration':<24} {'min':>7} {'paper':>6} {'error':>7}"
+          f" {'kJ':>7} {'paper':>6} {'error':>7}")
+    for solution, (fw, rk, nodes, cores, minutes, kj) in sorted(PAPER_ANCHORS.items()):
+        cost = study.cost(Configuration(TABLE1_CONFIGS[solution], trial_id=solution))
+        row = f"{solution:>4} {f'{fw}/ppo/rk{rk}/{nodes}n x {cores}c':<24}"
+        for planned, paper in ((cost.computation_time_s / 60.0, minutes), (cost.energy_kj, kj)):
+            error = "—" if paper is None else f"{(planned - paper) / paper:+.1%}"
+            row += f" {planned:>7.1f} {'—' if paper is None else f'{paper:.0f}':>6} {error:>7}"
+        print(row)
     return 0
 
 

@@ -30,7 +30,7 @@ import signal
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from .codec import PlanCodec
+from .codec import PlanCodec, require_finite
 
 __all__ = [
     "WorkerKiller",
@@ -136,6 +136,7 @@ class LinkLatency:
     for_outcomes: int | None = None
 
     def validate(self) -> None:
+        require_finite(self)
         if self.delay_s <= 0:
             raise ValueError(f"latency delay_s must be > 0, got {self.delay_s}")
         if self.link < -1:
@@ -160,6 +161,7 @@ class LinkThrottle:
     for_outcomes: int | None = None
 
     def validate(self) -> None:
+        require_finite(self)
         if self.bytes_per_s <= 0:
             raise ValueError(
                 f"throttle bytes_per_s must be > 0, got {self.bytes_per_s}"

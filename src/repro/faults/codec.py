@@ -22,13 +22,14 @@ import dataclasses
 import functools
 import hashlib
 import json
+import math
 import os
 import sys
 import types
 import typing
 from typing import Any, ClassVar, Iterator, TypeVar
 
-__all__ = ["PlanCodec"]
+__all__ = ["PlanCodec", "require_finite"]
 
 P = TypeVar("P", bound="PlanCodec")
 
@@ -45,6 +46,18 @@ def _field_types(cls: type) -> dict[str, Any]:
     """Field name -> resolved type, in declaration order."""
     hints = typing.get_type_hints(cls)
     return {f.name: hints[f.name] for f in dataclasses.fields(cls)}
+
+
+def require_finite(event: Any) -> None:
+    """Raise ``ValueError`` naming the first NaN or infinite field of
+    ``event``. Event ``validate()``s call it before their range checks,
+    which NaN passes because every comparison with it is false."""
+    for name in _field_types(type(event)):
+        value = getattr(event, name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(
+                f"{type(event).__name__}.{name} must be a finite number, got {value!r}"
+            )
 
 
 def _optional(tp: Any) -> Any:

@@ -32,10 +32,11 @@ fault-free run.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from typing import Any
 
-from .codec import PlanCodec
+from .codec import PlanCodec, require_finite
 
 __all__ = [
     "NodeCrash",
@@ -69,6 +70,7 @@ class NodeCrash:
         return self.at + self.restart_after
 
     def validate(self) -> None:
+        require_finite(self)
         if self.node < 0:
             raise ValueError(f"crash node must be >= 0, got {self.node}")
         if self.at < 0:
@@ -87,6 +89,7 @@ class Straggler:
     factor: float = 2.0
 
     def validate(self) -> None:
+        require_finite(self)
         if self.node < 0:
             raise ValueError(f"straggler node must be >= 0, got {self.node}")
         if self.at < 0 or self.duration <= 0:
@@ -109,6 +112,7 @@ class LinkDegradation:
     partition: bool = False
 
     def validate(self) -> None:
+        require_finite(self)
         if self.at < 0 or self.duration <= 0:
             raise ValueError("link fault window needs at >= 0 and duration > 0")
         if not 0.0 < self.bandwidth_factor <= 1.0:
@@ -145,6 +149,7 @@ class TaskFailures:
         return int(self.rate > 0.0)
 
     def validate(self) -> None:
+        require_finite(self)
         if not 0.0 <= self.rate < 1.0:
             raise ValueError(f"task failure rate must be in [0, 1), got {self.rate}")
         if self.max_attempts < 2:
@@ -208,10 +213,9 @@ class FaultPlan(PlanCodec):
         """
         if n_nodes < 1:
             raise ValueError("n_nodes must be >= 1")
-        if horizon_s <= 0:
-            raise ValueError("horizon_s must be positive")
-        if intensity <= 0:
-            raise ValueError("intensity must be positive")
+        for field_name, value in (("horizon_s", horizon_s), ("intensity", intensity)):
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{field_name} must be a positive finite number, got {value!r}")
 
         def unit(*key: Any) -> float:
             digest = hashlib.sha256(

@@ -1,6 +1,6 @@
 """Framework back-ends: RLlib-like, Stable-Baselines-like, TF-Agents-like."""
 
-from .base import EnvStepError, Framework, TrainResult, TrainSpec, WorkerLayout
+from .base import Cost, CostPlan, EnvStepError, Framework, TrainResult, TrainSpec, WorkerLayout
 from .costmodel import (
     RLLIB_PROFILE,
     STABLE_PROFILE,
@@ -19,6 +19,8 @@ __all__ = [
     "TrainSpec",
     "TrainResult",
     "WorkerLayout",
+    "CostPlan",
+    "Cost",
     "CostModel",
     "FrameworkCostProfile",
     "RLLIB_PROFILE",

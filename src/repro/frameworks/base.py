@@ -12,10 +12,13 @@ TF-Agents) that share algorithms but differ *structurally*:
 
 :class:`Framework` implements PPO and SAC training loops once,
 parameterized by a :class:`WorkerLayout` the concrete back-ends provide.
-While the *learning* runs for real on the host (scaled step budget), every
-operation is simultaneously charged to the discrete-event cluster
-simulator, yielding the virtual Computation Time and the energy the
-methodology's metrics consume.
+The *learning* runs for real on the host (scaled step budget). What a run
+costs on the paper's testbed does not depend on what it learns: it is a
+:class:`CostPlan`, a pure function of the configuration and of how many
+env steps ran (:meth:`Framework.plan`), which the discrete-event cluster
+simulator prices into the virtual Computation Time and the energy the
+methodology's metrics consume (:meth:`Framework.price`). ``train`` prices
+the plan of the steps it actually ran.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from typing import Any, Callable
 
 import numpy as np
 
+from ..airdrop.integrators import get_integrator
 from ..obs import Telemetry
 from ..cluster import (
     ClusterSimulator,
@@ -46,7 +50,13 @@ from ..faults import (
 from ..rl import PPOAgent, PPOConfig, SACAgent, SACConfig
 from .costmodel import CostModel, FrameworkCostProfile
 
-__all__ = ["TrainSpec", "TrainResult", "WorkerLayout", "Framework", "EnvStepError"]
+__all__ = [
+    "TrainSpec", "TrainResult", "WorkerLayout", "CostPlan", "Cost", "Framework", "EnvStepError",
+]
+
+#: env steps per SAC block: one sampling task (and one update task) of
+#: the virtual DAG, one telemetry rollout span, one learning-curve point
+SAC_BLOCK = 100
 
 
 class EnvStepError(RuntimeError):
@@ -126,23 +136,15 @@ class TrainSpec:
 
 
 @dataclass
-class TrainResult:
-    """Everything one training run produces."""
+class Cost:
+    """A priced :class:`CostPlan`: the paper's two cost metrics at
+    ``spec.paper_steps`` and the virtual schedule they come from."""
 
-    framework: str
-    spec: TrainSpec
-    #: the paper's Reward metric: mean landing score over the last
-    #: training episodes (the reward the learning run itself collects)
-    reward: float
-    #: deterministic post-training evaluation (diagnostic)
-    eval_reward: float
+    trace: Trace
     #: virtual wall time at paper scale (seconds)
     computation_time_s: float
     #: energy at paper scale (kilojoules)
     energy_kj: float
-    trace: Trace
-    #: (real env steps, mean recent landing) checkpoints
-    learning_curve: list[tuple[int, float]] = field(default_factory=list)
     diagnostics: dict[str, float] = field(default_factory=dict)
     #: extra virtual seconds vs. the fault-free run of the same DAG
     recovery_overhead_s: float = 0.0
@@ -156,6 +158,22 @@ class TrainResult:
     @property
     def computation_time_min(self) -> float:
         return self.computation_time_s / 60.0
+
+
+@dataclass(kw_only=True)
+class TrainResult(Cost):
+    """Everything one training run produces: the :class:`Cost` of the
+    steps it ran, and what it learned."""
+
+    framework: str
+    spec: TrainSpec
+    #: the paper's Reward metric: mean landing score over the last
+    #: training episodes (the reward the learning run itself collects)
+    reward: float
+    #: deterministic post-training evaluation (diagnostic)
+    eval_reward: float
+    #: (real env steps, mean recent landing) checkpoints
+    learning_curve: list[tuple[int, float]] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -184,6 +202,22 @@ class WorkerLayout:
         return out
 
 
+@dataclass(frozen=True)
+class CostPlan:
+    """The virtual DAG of one run, known before anything is learned.
+
+    ``build`` submits the run's tasks and transfers to whatever
+    :class:`~repro.cluster.ClusterSimulator` it is given, in the same
+    order every time, so a plan replays identically on a clean and on a
+    faulted simulator.
+    """
+
+    spec: TrainSpec
+    #: env steps the run covers (whole PPO/V-trace iterations)
+    steps: int
+    build: Callable[[ClusterSimulator], None]
+
+
 def _space_action_mapper(space: Any):
     """Map the policy's ``[-1, 1]`` outputs onto a Box space's bounds.
 
@@ -207,17 +241,6 @@ def _space_action_mapper(space: Any):
         return scaled if all_bounded else np.where(bounded, scaled, unit)
 
     return mapper
-
-
-def _vec_rhs_evals(venv: Any) -> int:
-    """Per-step RHS-evaluation cost of a vectorized env (fallback 6)."""
-    n = getattr(venv, "rhs_evals_per_step", None)
-    if n is not None:
-        return int(n)
-    envs = getattr(venv, "envs", None)
-    if envs:
-        return int(getattr(envs[0].unwrapped, "rhs_evals_per_step", 6))
-    return 6
 
 
 def _episode_score(info: dict) -> float:
@@ -298,6 +321,101 @@ class Framework:
                     f"configuration wants {spec.cores_per_node} cores but node "
                     f"{node} has {self.cluster.nodes[node].n_cores}"
                 )
+
+    # --------------------------------------------------------------- cost
+    def plan(self, spec: TrainSpec, steps_done: int) -> CostPlan:
+        """The virtual DAG of ``spec``'s run over ``steps_done`` env steps.
+
+        A pure function of the configuration and the step count: no env
+        is built and nothing is learned, so what a configuration costs is
+        known before it is trained. A run stops only between PPO
+        iterations or SAC blocks, so the plan of the steps a run executed
+        is its DAG exactly. ``steps_done`` rounds up to whole iterations:
+        ``plan(spec, spec.total_steps)`` is the plan of a run that is not
+        stopped early.
+        """
+        self.validate(spec)
+        if steps_done < 1:
+            raise ValueError("steps_done must be >= 1")
+        if spec.algorithm == "ppo":
+            return self._plan_ppo(spec, steps_done)
+        return self._plan_sac(spec, steps_done)
+
+    def price(self, plan: CostPlan) -> Cost:
+        """Run ``plan`` on the virtual testbed and scale its makespan and
+        energy from ``plan.steps`` to ``spec.paper_steps``.
+
+        Under an active fault plan the faulted schedule is charged: an
+        aborted run pays twice the fault-free time and keeps its partial
+        completion fraction, unless the recovery policy raises
+        :class:`~repro.faults.ClusterFaultError` instead.
+        """
+        spec = plan.spec
+        layout = self.layout(spec)
+        trace, fault_report = self._run_virtual(spec, layout, plan.build)
+        scale = spec.paper_steps / plan.steps
+        nodes_used = sorted(
+            set(layout.worker_nodes) | {layout.learner_node} | {t.node for t in trace.tasks}
+        )
+        energy = energy_from_trace(
+            trace, self.cluster, self.power_model, nodes_allocated=nodes_used
+        )
+        diagnostics = {
+            "real_steps": float(plan.steps),
+            "scale": float(scale),
+            "makespan_unscaled_s": trace.makespan,
+            "mean_power_w": energy.mean_power_w,
+            "bytes_transferred": trace.bytes_transferred(),
+        }
+
+        makespan = trace.makespan
+        recovery_overhead_s = 0.0
+        work_lost_steps = 0.0
+        completion = 1.0
+        fault_stats: dict[str, Any] | None = None
+        if fault_report is not None:
+            stats = fault_report["stats"]
+            clean = float(fault_report["clean_makespan_s"])
+            if stats.aborted:
+                # documented penalty: an aborted run is charged twice the
+                # fault-free time and keeps its partial completion fraction
+                makespan = 2.0 * clean
+                completion = stats.completed_fraction
+            recovery_overhead_s = max(0.0, makespan - clean) * scale
+            env_step_s = self._env_step_s(spec)
+            if env_step_s > 0.0:
+                work_lost_steps = stats.work_lost_s / env_step_s * scale
+            fault_stats = stats.to_dict()
+            diagnostics.update(
+                {
+                    "fault_events": float(stats.n_events),
+                    "tasks_killed": float(stats.n_killed),
+                    "tasks_redispatched": float(stats.n_redispatched),
+                    "task_failures": float(stats.n_task_failures),
+                    "fault_work_lost_s": float(stats.work_lost_s),
+                    "clean_makespan_s": clean,
+                }
+            )
+        return Cost(
+            trace=trace,
+            computation_time_s=makespan * scale,
+            energy_kj=energy.total_kilojoules * scale,
+            diagnostics=diagnostics,
+            recovery_overhead_s=recovery_overhead_s,
+            work_lost_steps=work_lost_steps,
+            completion_under_faults=completion,
+            fault_stats=fault_stats,
+        )
+
+    def _env_step_s(self, spec: TrainSpec) -> float:
+        """Virtual cost of one env step: the back-end's overhead plus one
+        RHS evaluation per stage of the ``spec.rk_order`` tableau."""
+        n_stages = get_integrator(spec.rk_order).n_stages
+        return self.cost_model.env_step_s(n_stages, self.profile)
+
+    def _fragment(self, spec: TrainSpec, n_slots: int) -> int:
+        """Env steps each of ``n_slots`` slots samples per iteration."""
+        return max(32, self.effective_batch(spec) // n_slots)
 
     # ------------------------------------------------------------- faults
     def recovery_policy(self, spec: TrainSpec, layout: WorkerLayout) -> RecoveryPolicy:
@@ -426,19 +544,18 @@ class Framework:
         obs_batch, _ = venv.reset(seed=seeds)
         obs_dim = int(np.prod(venv.single_observation_space.shape))
         act_dim = int(np.prod(venv.single_action_space.shape))
-        n_stages = _vec_rhs_evals(venv)
         map_action = _space_action_mapper(venv.single_action_space)
         env_groups = {
             node: [w * n_envs + j for w in members for j in range(n_envs)]
             for node, members in groups.items()
         }
 
-        ppo_config = self.effective_ppo(spec)
-        agent = PPOAgent(obs_dim, act_dim, ppo_config, seed=self._seed(spec, "agent"))
-        fragment = max(32, self.effective_batch(spec) // total)
+        agent = PPOAgent(
+            obs_dim, act_dim, self.effective_ppo(spec), seed=self._seed(spec, "agent")
+        )
+        fragment = self._fragment(spec, total)
         buffer = agent.make_buffer(fragment, total)
 
-        env_step_s = self.cost_model.env_step_s(n_stages, self.profile)
         landings: list[float] = []
         curve: list[tuple[int, float]] = []
 
@@ -511,49 +628,22 @@ class Framework:
                 if callback is not None and callback(steps_done, checkpoint):
                     break
 
-        # ---- virtual execution: replay the DAG of every iteration (twice
-        # when a fault plan is active — once clean, once faulted)
-        program = self._ppo_program(
-            spec,
-            layout,
-            groups,
-            fragment,
-            env_step_s,
-            ppo_config,
-            iteration,
-            envs_per_worker=n_envs,
-        )
-        trace, fault_report = self._run_virtual(spec, layout, program)
-        return self._finalize(
-            spec,
-            agent,
-            trace,
-            landings,
-            curve,
-            steps_done,
-            layout,
-            telem,
-            fault_report=fault_report,
-            env_step_s=env_step_s,
-        )
+        return self._finalize(spec, agent, landings, curve, steps_done, telem)
 
-    def _ppo_program(
-        self,
-        spec: TrainSpec,
-        layout: WorkerLayout,
-        groups: dict[int, list[int]],
-        fragment: int,
-        env_step_s: float,
-        ppo_config: PPOConfig,
-        n_iterations: int,
-        envs_per_worker: int = 1,
-    ) -> Callable[[ClusterSimulator], None]:
-        """The PPO run's virtual DAG as a replayable builder.
-
-        Submission order matches the historical inline construction
-        exactly, so fault-free schedules are byte-identical.
-        """
+    def _plan_ppo(self, spec: TrainSpec, steps_done: int) -> CostPlan:
+        """PPO's DAG: per iteration, one rollout task per worker (each
+        worker samples ``fragment`` steps of its ``n_envs`` episodes),
+        experience shipped from remote nodes, the learner's update, and
+        the weight broadcast remote workers wait for."""
+        layout = self.layout(spec)
+        groups = layout.groups()
         n_workers = layout.n_workers
+        envs_per_worker = spec.n_envs
+        fragment = self._fragment(spec, n_workers * envs_per_worker)
+        batch = fragment * n_workers * envs_per_worker
+        n_iterations = -(-steps_done // batch)
+        env_step_s = self._env_step_s(spec)
+        n_epochs = self.effective_ppo(spec).n_epochs
         learner = layout.learner_node
 
         def build(sim: ClusterSimulator) -> None:
@@ -595,13 +685,12 @@ class Framework:
                 update_deps = [t for t in actor_tasks if t.node == learner] + transfer_tasks
                 if not update_deps:
                     update_deps = actor_tasks
-                batch = fragment * n_workers * envs_per_worker
                 update_task = sim.task(
                     f"ppo_update[{iteration}]",
                     learner,
                     duration=self.cost_model.ppo_update_s(
                         batch,
-                        ppo_config.n_epochs,
+                        n_epochs,
                         spec.cores_per_node,
                         self.profile,
                         self.cluster.nodes[learner].core_speed,
@@ -623,7 +712,7 @@ class Framework:
                     if node != learner
                 }
 
-        return build
+        return CostPlan(spec, n_iterations * batch, build)
 
     # ---------------------------------------------------------------- SAC
     def _train_sac(
@@ -642,17 +731,12 @@ class Framework:
         """
         telem = Telemetry.or_null(telemetry)
         meters = telem.trial_meters
-        layout = self.layout(spec)
-        sampler_node = max(layout.groups())  # sampling lives on the last node
-
         n_envs = spec.n_envs
         venv = self._env_batch(spec, n_envs)
         obs_dim = int(np.prod(venv.single_observation_space.shape))
         act_dim = int(np.prod(venv.single_action_space.shape))
-        n_stages = _vec_rhs_evals(venv)
         agent = SACAgent(obs_dim, act_dim, spec.sac, seed=self._seed(spec, "agent"))
 
-        env_step_s = self.cost_model.env_step_s(n_stages, self.profile)
         landings: list[float] = []
         curve: list[tuple[int, float]] = []
 
@@ -661,10 +745,7 @@ class Framework:
         ]
         obs, _ = venv.reset(seed=seeds)
         map_action = _space_action_mapper(venv.single_action_space)
-        block = 100  # env steps per virtual task block
-        blocks: list[tuple[int, int]] = []  # (env steps, updates) per block
         steps_done = 0
-        block_updates = 0
         block_start = 0
         iteration = 0
         # SAC interleaves acting and updating step by step, too finely to
@@ -700,12 +781,10 @@ class Framework:
                         update_acc += clock() - update_t0
                     else:
                         agent.update()
-                    block_updates += spec.sac.updates_per_step
 
-                if steps_done - block_start >= block or steps_done >= spec.total_steps:
-                    n_steps = steps_done - block_start
-                    blocks.append((n_steps, block_updates))
+                if steps_done - block_start >= SAC_BLOCK or steps_done >= spec.total_steps:
                     if telem_on:
+                        n_steps = steps_done - block_start
                         now = clock()
                         rollout_span = telem.tracer.record(
                             "rollout", block_t0, now, iteration=iteration, steps=n_steps
@@ -721,10 +800,11 @@ class Framework:
                             meters.histogram("sac/update_s").observe(update_acc)
                         meters.histogram("sac/block_s").observe(now - block_t0)
                         meters.counter("env_steps").inc(n_steps)
-                        meters.counter("updates").inc(block_updates)
+                        meters.counter("updates").inc(
+                            spec.sac.updates_between(block_start, steps_done)
+                        )
                         block_t0 = now
                         update_acc = 0.0
-                    block_updates = 0
                     block_start = steps_done
                     iteration += 1
                     if landings:
@@ -736,35 +816,23 @@ class Framework:
                     break
             obs = next_obs
 
-        program = self._sac_program(spec, layout, sampler_node, env_step_s, blocks)
-        trace, fault_report = self._run_virtual(spec, layout, program)
-        return self._finalize(
-            spec,
-            agent,
-            trace,
-            landings,
-            curve,
-            steps_done,
-            layout,
-            telem,
-            fault_report=fault_report,
-            env_step_s=env_step_s,
-        )
+        return self._finalize(spec, agent, landings, curve, steps_done, telem)
 
-    def _sac_program(
-        self,
-        spec: TrainSpec,
-        layout: WorkerLayout,
-        sampler_node: int,
-        env_step_s: float,
-        blocks: list[tuple[int, int]],
-    ) -> Callable[[ClusterSimulator], None]:
-        """The SAC run's virtual DAG as a replayable builder."""
+    def _plan_sac(self, spec: TrainSpec, steps_done: int) -> CostPlan:
+        """SAC's DAG: per :data:`SAC_BLOCK` env steps, one sampling task on
+        the last node, its experience shipped to the learner when they
+        differ, and one task for the block's gradient updates
+        (:meth:`~repro.rl.SACConfig.updates_between`)."""
+        layout = self.layout(spec)
+        sampler_node = max(layout.groups())  # sampling lives on the last node
         learner = layout.learner_node
+        env_step_s = self._env_step_s(spec)
 
         def build(sim: ClusterSimulator) -> None:
             prev_task = None
-            for iteration, (n_steps, block_updates) in enumerate(blocks):
+            for iteration, start in enumerate(range(0, steps_done, SAC_BLOCK)):
+                n_steps = min(SAC_BLOCK, steps_done - start)
+                block_updates = spec.sac.updates_between(start, start + n_steps)
                 sample_task = sim.task(
                     f"sac_sample[{iteration}]",
                     sampler_node,
@@ -800,93 +868,40 @@ class Framework:
                 else:
                     prev_task = sample_task
 
-        return build
+        return CostPlan(spec, steps_done, build)
 
     # ------------------------------------------------------------ shared
     def _finalize(
         self,
         spec: TrainSpec,
         agent: PPOAgent | SACAgent,
-        trace: Trace,
         landings: list[float],
         curve: list[tuple[int, float]],
         steps_done: int,
-        layout: WorkerLayout,
         telemetry: Telemetry | None = None,
-        fault_report: dict[str, Any] | None = None,
-        env_step_s: float = 0.0,
     ) -> TrainResult:
+        """Price the plan of the ``steps_done`` steps the loop ran, then
+        evaluate the agent and assemble the result."""
+        cost = self.price(self.plan(spec, steps_done))
         telem = Telemetry.or_null(telemetry)
         if telem.enabled:
             telem.emit_records(
-                trace.to_records(framework=self.name, algorithm=spec.algorithm)
+                cost.trace.to_records(framework=self.name, algorithm=spec.algorithm)
             )
             meters = telem.trial_meters
             meters.counter("episodes").inc(len(landings))
-            meters.gauge("virtual_makespan_s").set(trace.makespan)
-            meters.gauge("bytes_transferred").set(trace.bytes_transferred())
+            meters.gauge("virtual_makespan_s").set(cost.trace.makespan)
+            meters.gauge("bytes_transferred").set(cost.trace.bytes_transferred())
         with telem.span("evaluate", episodes=spec.eval_episodes):
             eval_reward = self._evaluate(spec, agent)
-        scale = spec.paper_steps / max(steps_done, 1)
-        nodes_used = sorted(
-            set(layout.worker_nodes) | {layout.learner_node} | {t.node for t in trace.tasks}
-        )
-        energy = energy_from_trace(
-            trace, self.cluster, self.power_model, nodes_allocated=nodes_used
-        )
-        reward = float(np.mean(landings[-50:])) if landings else -10.0
-        diagnostics = {
-            "episodes": float(len(landings)),
-            "real_steps": float(steps_done),
-            "scale": float(scale),
-            "makespan_unscaled_s": trace.makespan,
-            "mean_power_w": energy.mean_power_w,
-            "bytes_transferred": trace.bytes_transferred(),
-        }
-
-        makespan = trace.makespan
-        recovery_overhead_s = 0.0
-        work_lost_steps = 0.0
-        completion = 1.0
-        fault_stats: dict[str, Any] | None = None
-        if fault_report is not None:
-            stats = fault_report["stats"]
-            clean = float(fault_report["clean_makespan_s"])
-            if stats.aborted:
-                # documented penalty: an aborted run is charged twice the
-                # fault-free time and keeps its partial completion fraction
-                makespan = 2.0 * clean
-                completion = stats.completed_fraction
-            recovery_overhead_s = max(0.0, makespan - clean) * scale
-            if env_step_s > 0.0:
-                work_lost_steps = stats.work_lost_s / env_step_s * scale
-            fault_stats = stats.to_dict()
-            diagnostics.update(
-                {
-                    "fault_events": float(stats.n_events),
-                    "tasks_killed": float(stats.n_killed),
-                    "tasks_redispatched": float(stats.n_redispatched),
-                    "task_failures": float(stats.n_task_failures),
-                    "fault_work_lost_s": float(stats.work_lost_s),
-                    "clean_makespan_s": clean,
-                }
-            )
-        virtual_time = makespan * scale
-
+        diagnostics = {"episodes": float(len(landings)), **cost.diagnostics}
         return TrainResult(
+            **(vars(cost) | {"diagnostics": diagnostics}),
             framework=self.name,
             spec=spec,
-            reward=reward,
+            reward=float(np.mean(landings[-50:])) if landings else -10.0,
             eval_reward=eval_reward,
-            computation_time_s=virtual_time,
-            energy_kj=energy.total_kilojoules * scale,
-            trace=trace,
             learning_curve=curve,
-            diagnostics=diagnostics,
-            recovery_overhead_s=recovery_overhead_s,
-            work_lost_steps=work_lost_steps,
-            completion_under_faults=completion,
-            fault_stats=fault_stats,
         )
 
     def _evaluate(self, spec: TrainSpec, agent: PPOAgent | SACAgent) -> float:

@@ -29,8 +29,8 @@ from ..cluster import ClusterSimulator
 from ..faults import RecoveryPolicy, ReDispatchRecovery
 from ..obs import Telemetry
 from ..rl.vtrace import VTraceAgent, VTraceConfig
-from .base import EnvStepError, Framework, TrainResult, TrainSpec, WorkerLayout
-from .base import _episode_score, _space_action_mapper, _vec_rhs_evals
+from .base import CostPlan, EnvStepError, Framework, TrainResult, TrainSpec, WorkerLayout
+from .base import _episode_score, _space_action_mapper
 from .costmodel import FrameworkCostProfile
 
 __all__ = ["ImpalaLike"]
@@ -105,15 +105,12 @@ class ImpalaLike(Framework):
         callback: Callable[[int, float], bool] | None = None,
         telemetry: Telemetry | None = None,
     ) -> TrainResult:
-        layout = self.layout(spec)
-        groups = layout.groups()
-        n_workers = layout.n_workers
+        n_workers = self.layout(spec).n_workers
         # one env slot per actor; n_envs only picks the env that backs them
         venv = self._env_batch(spec, n_workers)
         obs_batch, _ = venv.reset(seed=[self._seed(spec, f"env{i}") for i in range(n_workers)])
         obs_dim = int(np.prod(venv.single_observation_space.shape))
         act_dim = int(np.prod(venv.single_action_space.shape))
-        n_stages = _vec_rhs_evals(venv)
         map_action = _space_action_mapper(venv.single_action_space)
 
         from ..rl import PPOConfig
@@ -129,9 +126,8 @@ class ImpalaLike(Framework):
             VTraceConfig(gamma=spec.ppo.gamma, learning_rate=lr),
             seed=self._seed(spec, "agent"),
         )
-        fragment = max(32, self.effective_batch(spec) // n_workers)
+        fragment = self._fragment(spec, n_workers)
 
-        env_step_s = self.cost_model.env_step_s(n_stages, self.profile)
         landings: list[float] = []
         curve: list[tuple[int, float]] = []
 
@@ -139,7 +135,6 @@ class ImpalaLike(Framework):
         snapshots = [agent.policy_state() for _ in range(self.policy_lag + 1)]
 
         steps_done = 0
-        iteration = 0
         while steps_done < spec.total_steps:
             behaviour_state = snapshots[0]
             current_state = agent.policy_state()
@@ -174,39 +169,25 @@ class ImpalaLike(Framework):
             snapshots.pop(0)
             steps_done += T * N
 
-            iteration += 1
             if landings:
                 checkpoint = float(np.mean(landings[-40:]))
                 curve.append((steps_done, checkpoint))
                 if callback is not None and callback(steps_done, checkpoint):
                     break
 
-        program = self._vtrace_program(spec, layout, groups, fragment, env_step_s, iteration)
-        trace, fault_report = self._run_virtual(spec, layout, program)
-        return self._finalize(
-            spec,
-            agent,
-            trace,
-            landings,
-            curve,
-            steps_done,
-            layout,
-            telemetry,
-            fault_report=fault_report,
-            env_step_s=env_step_s,
-        )
+        return self._finalize(spec, agent, landings, curve, steps_done, telemetry)
 
-    def _vtrace_program(
-        self,
-        spec: TrainSpec,
-        layout: WorkerLayout,
-        groups: dict[int, list[int]],
-        fragment: int,
-        env_step_s: float,
-        n_iterations: int,
-    ) -> Callable[[ClusterSimulator], None]:
-        """The IMPALA run's virtual DAG as a replayable builder."""
+    def _plan_ppo(self, spec: TrainSpec, steps_done: int) -> CostPlan:
+        """The on-policy slot runs V-trace: per iteration, one rollout task
+        per actor, experience shipped from remote nodes, one serial
+        learner pass and the weight broadcast the actors two iterations
+        on wait for."""
+        layout = self.layout(spec)
+        groups = layout.groups()
         n_workers = layout.n_workers
+        fragment = self._fragment(spec, n_workers)
+        n_iterations = -(-steps_done // (fragment * n_workers))
+        env_step_s = self._env_step_s(spec)
 
         def build(sim: ClusterSimulator) -> None:
             prev_updates: list[Any] = []
@@ -278,4 +259,4 @@ class ImpalaLike(Framework):
                     }
                 )
 
-        return build
+        return CostPlan(spec, n_iterations * fragment * n_workers, build)

@@ -1,6 +1,6 @@
 """Paper-specific experiment definitions: Table I, Figures 4–6, calibration."""
 
-from .calibration import DEFAULT_SCALE, PAPER_ANCHORS, Scale, default_power_model, predict_anchor_minutes
+from .calibration import DEFAULT_SCALE, PAPER_ANCHORS, Scale, default_power_model
 from .figures import (
     PAPER_FRONTS,
     FigureComparison,
@@ -25,7 +25,6 @@ __all__ = [
     "Scale",
     "DEFAULT_SCALE",
     "PAPER_ANCHORS",
-    "predict_anchor_minutes",
     "default_power_model",
     "TABLE1_CONFIGS",
     "AirdropCaseStudy",

@@ -41,7 +41,7 @@ from ..core import (
 )
 from ..core.pruning import Pruner
 from ..faults import FaultPlan
-from ..frameworks import TrainResult, TrainSpec, get_framework
+from ..frameworks import Cost, Framework, TrainResult, TrainSpec, get_framework
 from ..obs import Telemetry
 from .calibration import DEFAULT_SCALE, Scale, default_power_model
 
@@ -176,6 +176,24 @@ class AirdropCaseStudy:
             n_envs=self.n_envs,
         )
 
+    def framework(self, config: Configuration) -> Framework:
+        """The back-end ``config`` selects, on this study's testbed."""
+        return get_framework(
+            str(config["framework"]),
+            cluster=self.cluster,
+            power_model=default_power_model(),
+            fault_plan=self.fault_plan,
+        )
+
+    def cost(self, config: Configuration) -> Cost:
+        """What ``config`` costs at paper scale, with no training: the
+        priced plan of a full run, bit-equal to the ``computation_time``
+        and ``power_consumption`` :meth:`evaluate` reports for any seed
+        when the run is not pruned."""
+        framework = self.framework(config)
+        spec = self.make_spec(config, seed=0)
+        return framework.price(framework.plan(spec, spec.total_steps))
+
     def cache_key(self) -> dict[str, Any]:
         """Every evaluation-relevant setting not captured by the config.
 
@@ -204,13 +222,7 @@ class AirdropCaseStudy:
         progress: Callable[[int, float], bool] | None = None,
         telemetry: Telemetry | None = None,
     ) -> dict[str, float]:
-        framework = get_framework(
-            str(config["framework"]),
-            cluster=self.cluster,
-            power_model=default_power_model(),
-            fault_plan=self.fault_plan,
-        )
-        result = framework.train(
+        result = self.framework(config).train(
             self.make_spec(config, seed), callback=progress, telemetry=telemetry
         )
         if self.keep_results and config.trial_id is not None:

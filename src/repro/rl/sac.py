@@ -56,6 +56,20 @@ class SACConfig:
             raise ValueError("tau must be in (0, 1]")
         if self.batch_size < 1 or self.update_every < 1 or self.updates_per_step < 1:
             raise ValueError("batch_size/update_every/updates_per_step must be >= 1")
+        if self.buffer_capacity < self.batch_size:
+            raise ValueError("buffer_capacity must hold at least one batch")
+
+    def updates_between(self, start: int, stop: int) -> int:
+        """Gradient updates made while transitions ``start + 1`` to ``stop``
+        are observed: ``updates_per_step`` after every ``update_every``-th
+        one, once ``learning_starts`` are in and the buffer holds a batch.
+        The one statement of the cadence, read by
+        :meth:`SACAgent.ready_to_update` and the virtual cost plan."""
+        first = max(start + 1, self.learning_starts, self.batch_size)
+        if first > stop:
+            return 0
+        due = stop // self.update_every - (first - 1) // self.update_every
+        return due * self.updates_per_step
 
 
 class _QNetwork:
@@ -184,11 +198,10 @@ class SACAgent(Agent):
         self.total_env_steps += 1
 
     def ready_to_update(self) -> bool:
-        return (
-            self.total_env_steps >= self.config.learning_starts
-            and len(self.buffer) >= self.config.batch_size
-            and self.total_env_steps % self.config.update_every == 0
-        )
+        """Whether the transition just observed makes an update due
+        (:meth:`SACConfig.updates_between`)."""
+        n = self.total_env_steps
+        return self.config.updates_between(n - 1, n) > 0
 
     def update(self) -> dict[str, float]:
         """Run ``updates_per_step`` gradient updates from the replay buffer."""

@@ -275,12 +275,3 @@ class JobQueue:
                 with self._cond:
                     self._running.discard(job.id)
                     self._cond.notify_all()
-
-    def stop_running(self) -> int:
-        """Set the stop flag on every running job; returns how many."""
-        with self._cond:
-            running = set(self._running)
-        # jobs are looked up through the runner side; the queue only has
-        # ids here, so the service passes stop requests itself — this
-        # hook exists for symmetry in tests
-        return len(running)

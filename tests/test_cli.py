@@ -134,6 +134,24 @@ class TestFaultsCommand:
         assert "hash 10845cf8f532" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
+        "flag, value, field",
+        [
+            ("--horizon", "nan", "horizon_s"),
+            ("--horizon", "inf", "horizon_s"),
+            ("--intensity", "inf", "intensity"),
+            ("--intensity", "nan", "intensity"),
+        ],
+        ids=["horizon-nan", "horizon-inf", "intensity-inf", "intensity-nan"],
+    )
+    def test_generate_refuses_non_finite_numbers(self, tmp_path, capsys, flag, value, field):
+        path = tmp_path / "plan.json"
+        assert main(["faults", "generate", str(path), flag, value]) == 1
+        captured = capsys.readouterr()
+        assert field in captured.err
+        assert captured.out == ""
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
         "text, field",
         [
             ('{"node_crashes": [{"node": 0}]}', "fault plan.node_crashes[0].at"),

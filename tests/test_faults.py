@@ -197,6 +197,46 @@ class TestFaultPlan:
         with pytest.raises(ValueError):
             TaskFailures(rate=1.5).validate()
 
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            ({"horizon_s": float("nan")}, "horizon_s"),
+            ({"horizon_s": float("inf")}, "horizon_s"),
+            ({"intensity": float("inf")}, "intensity"),
+            ({"intensity": float("nan")}, "intensity"),
+        ],
+        ids=["horizon-nan", "horizon-inf", "intensity-inf", "intensity-nan"],
+    )
+    def test_sample_refuses_non_finite_numbers(self, kwargs, field):
+        with pytest.raises(ValueError, match=field):
+            FaultPlan.sample(seed=7, n_nodes=2, **kwargs)
+
+    @pytest.mark.parametrize(
+        "plan, field",
+        [
+            (FaultPlan(node_crashes=(NodeCrash(node=0, at=float("nan")),)), "NodeCrash.at"),
+            (
+                FaultPlan(stragglers=(
+                    Straggler(node=0, at=1.0, duration=float("nan"), factor=float("nan")),
+                )),
+                "Straggler.duration",
+            ),
+            (
+                FaultPlan(link_faults=(
+                    LinkDegradation(at=0.0, duration=1.0, extra_latency_s=float("inf")),
+                )),
+                "LinkDegradation.extra_latency_s",
+            ),
+            (ChaosPlan(latencies=(LinkLatency(delay_s=float("nan")),)), "LinkLatency.delay_s"),
+        ],
+        ids=["crash-at-nan", "straggler-nan", "link-latency-inf", "chaos-delay-nan"],
+    )
+    def test_validate_refuses_non_finite_numbers(self, plan, field):
+        """NaN passes every range check (each comparison with it is
+        false), so the events check finiteness first."""
+        with pytest.raises(ValueError, match=re.escape(field)):
+            plan.validate()
+
     def test_sample_is_seed_deterministic(self):
         one = FaultPlan.sample(seed=5, n_nodes=2, horizon_s=100.0)
         two = FaultPlan.sample(seed=5, n_nodes=2, horizon_s=100.0)
