@@ -96,7 +96,7 @@ class CallSite:
     line: int
     col: int
     locks: frozenset[str]  #: lock ids lexically held at the call
-    has_timeout: bool  #: a ``timeout=``/``block=False`` style bound was given
+    has_timeout: bool  #: a bound was given (see :func:`_call_has_timeout`)
     in_loop: bool
 
 
@@ -633,16 +633,27 @@ def _collect_class_attrs(
 
 
 # ----------------------------------------------------------- body scanner
-_TIMEOUT_KWARGS = {"timeout", "block"}
+def _is_constant(node: ast.expr, value: object) -> bool:
+    return isinstance(node, ast.Constant) and node.value is value
 
 
 def _call_has_timeout(call: ast.Call) -> bool:
-    if any(kw.arg in _TIMEOUT_KWARGS for kw in call.keywords):
-        return True
-    # the sole positional of wait()/join() IS the timeout
+    """Whether the call bounds its wait: a ``timeout=`` that is not a
+    literal ``None``, a ``block=`` that is not a literal ``True``, or a
+    positional of ``wait()``/``join()`` (their timeout) that is not a
+    literal ``None``."""
+    for kw in call.keywords:
+        if kw.arg == "timeout" and not _is_constant(kw.value, None):
+            return True
+        if kw.arg == "block" and not _is_constant(kw.value, True):
+            return True
     name = dotted_name(call.func)
     tail = name.rsplit(".", 1)[-1] if name else ""
-    return bool(call.args) and tail in ("wait", "join")
+    return (
+        tail in ("wait", "join")
+        and bool(call.args)
+        and not _is_constant(call.args[0], None)
+    )
 
 
 class _FunctionScanner:

@@ -126,17 +126,11 @@ SEED_STRATEGIES = ("fixed", "increment")
 
 @dataclass
 class _Replay:
-    """A recorded trial standing in for an evaluation.
-
-    Either a journal replay (this campaign's own trial, on ``--resume``)
-    or a content-addressed cache hit (``from_cache=True``) — cache hits
-    are *new* commits from the journal's point of view and are still
-    recorded to it.
-    """
+    """A journaled trial of this campaign standing in for an evaluation
+    (``--resume``)."""
 
     trial: TrialResult
     checkpoints: list[tuple[int, float]]
-    from_cache: bool = False
 
 
 class Campaign:
@@ -178,10 +172,11 @@ class Campaign:
     ``cache`` (a :class:`repro.exec.TrialCache`, or a directory path for
     a persistent one) memoizes completed trials by content — config
     values, seed, space/fault-plan hashes, metric names, the case
-    study's ``cache_key()`` and a source-code version tag. Matching
-    trials commit instantly from the cache (emitting a
-    ``trial_cache_hit`` event) instead of re-training; caching is
-    skipped when the case study does not expose ``cache_key()``.
+    study's ``cache_key()`` and a source-code version tag. A matching
+    trial is not re-trained: its stored outcome commits at once
+    (emitting a ``trial_cache_hit`` event) through the same path as an
+    evaluated trial's; caching is skipped when the case study does not
+    expose ``cache_key()``.
     """
 
     def __init__(
@@ -275,7 +270,7 @@ class Campaign:
         tasks: dict[int, TrialTask] = {}
         ready: dict[int, TrialOutcome | _Replay] = {}
         retry_due: dict[int, float] = {}  # seq -> monotonic resubmit time
-        cache_keys: dict[int, str] = {}  # seq -> content address (cache misses)
+        hit_seqs: set[int] = set()  # seqs answered by the trial cache
         interrupted = False
         try:
             with executor:
@@ -305,42 +300,48 @@ class Campaign:
                             ready[next_seq] = _Replay(*hit)
                             next_seq += 1
                             continue
+                        seed = self.trial_seed(config.trial_id)
+                        key = cached = None
                         if cache_identity is not None:
-                            seed = self.trial_seed(config.trial_id)
                             key = self.cache.key(config, seed, cache_identity)
                             cached = self.cache.lookup(key, config, seed)
-                            if cached is not None:
-                                trial, checkpoints = cached
-                                n_cached += 1
-                                telem.event(
-                                    EVT_TRIAL_CACHE_HIT,
-                                    trial_id=config.trial_id,
-                                    key=key,
-                                    seed=seed,
-                                )
-                                if telem.enabled:
-                                    telem.meters.counter("cache/hits").inc()
-                                ready[next_seq] = _Replay(
-                                    trial, checkpoints, from_cache=True
-                                )
-                                next_seq += 1
-                                continue
-                            cache_keys[next_seq] = key
                         task = TrialTask(
                             seq=next_seq,
                             config=config,
-                            seed=self.trial_seed(config.trial_id),
+                            seed=seed,
                             case_study=self.case_study,
                             pruner=self.pruner,
                             pass_telemetry=self._pass_telemetry,
                             telemetry_on=telem.enabled,
                             telemetry=telem if executor.shares_telemetry else None,
                             timeout_s=self.trial_timeout,
-                            cache_key=cache_keys.get(next_seq),
+                            cache_key=key if cached is None else None,
                         )
-                        self.explorer.mark_pending(config)
                         tasks[next_seq] = task
-                        executor.submit(task)
+                        if cached is None:
+                            self.explorer.mark_pending(config)
+                            executor.submit(task)
+                        else:
+                            measurements, checkpoints, duration_s = cached
+                            n_cached += 1
+                            telem.event(
+                                EVT_TRIAL_CACHE_HIT,
+                                trial_id=config.trial_id,
+                                key=key,
+                                seed=seed,
+                            )
+                            if telem.enabled:
+                                telem.meters.counter("cache/hits").inc()
+                            hit_seqs.add(next_seq)
+                            ready[next_seq] = TrialOutcome(
+                                seq=next_seq,
+                                trial_id=config.trial_id,
+                                attempt=0,
+                                status="completed",
+                                measurements=measurements,
+                                duration_s=duration_s,
+                                checkpoints=checkpoints,
+                            )
                         next_seq += 1
 
                     # resubmit retries whose backoff elapsed
@@ -382,8 +383,9 @@ class Campaign:
                         task = tasks.pop(commit_seq, None)
                         trial = self._commit(
                             entry, task, table, executor,
-                            cache_key=cache_keys.pop(commit_seq, None),
+                            from_cache=commit_seq in hit_seqs,
                         )
+                        hit_seqs.discard(commit_seq)
                         commit_seq += 1
                         if progress is not None:
                             progress(trial, len(table))
@@ -502,19 +504,19 @@ class Campaign:
         task: TrialTask | None,
         table: ResultsTable,
         executor: Executor,
-        cache_key: str | None = None,
+        from_cache: bool = False,
     ) -> TrialResult:
-        """Fold one finished trial into table/explorer/pruner/journal."""
+        """Fold one finished trial into table/explorer/pruner/journal/cache.
+
+        A cache hit (``from_cache``) is an outcome like any evaluated
+        trial's and a fresh commit of *this* campaign: the journal lists
+        it, so a later ``--resume`` replays the identical table.
+        """
         telem = self.telemetry
         if isinstance(entry, _Replay):
             trial = entry.trial
             table.add(trial)
             self.pruner.absorb(trial.trial_id, entry.checkpoints)
-            if entry.from_cache and self.journal is not None:
-                # a cache hit is a fresh commit of *this* campaign — the
-                # journal must list it like any evaluated trial so a later
-                # --resume replays the identical table
-                self.journal.record(trial, entry.checkpoints)
             if trial.ok:
                 self.explorer.tell(trial.config, trial.objectives)
                 telem.event(
@@ -535,8 +537,9 @@ class Campaign:
             telem.merge_records(outcome.records, worker=outcome.worker, clock_delta=delta)
             if outcome.meters is not None:
                 telem.meters.merge(outcome.meters)
-        if not executor.in_process and outcome.checkpoints:
-            # the child only saw a pruner snapshot; replay its curve here
+        if outcome.checkpoints and (from_cache or not executor.in_process):
+            # the live pruner never saw this curve: a hit did not run, a
+            # child only had a pruner snapshot; replay it here
             self.pruner.absorb(outcome.trial_id, outcome.checkpoints)
         if not outcome.ok and self.raise_on_error:
             if outcome.exception is not None:
@@ -548,8 +551,8 @@ class Campaign:
         table.add(trial)
         if self.journal is not None:
             self.journal.record(trial, outcome.checkpoints)
-        if cache_key is not None and self.cache is not None:
-            self.cache.store(cache_key, trial, outcome.checkpoints)
+        if task.cache_key is not None and self.cache is not None:
+            self.cache.store(task.cache_key, outcome, config, task.seed)
         if trial.ok:
             self.explorer.tell(config, trial.objectives)
             telem.event(

@@ -3,10 +3,20 @@
 A campaign's trial is a pure function of (configuration values, seed,
 parameter-space shape, fault plan, case-study settings, and the source
 code of the simulation/learning stack). :class:`TrialCache` memoizes
-committed :class:`~repro.core.results.TrialResult`s under a digest of
-exactly those ingredients, so repeated campaigns — reruns, overlapping
-sweeps, ``--resume`` after a deleted journal — commit cache hits instead
-of re-training.
+what each completed trial produced — its raw measurements, learning-curve
+checkpoints and run time — under a digest of exactly those ingredients,
+so repeated campaigns — reruns, overlapping sweeps, ``--resume`` after a
+deleted journal — commit cache hits instead of re-training.
+
+There is one record per key, read and written alike by the
+:class:`~repro.core.Campaign` (on any executor) and by remote workers
+(:class:`~repro.net.WorkerAgent`) sharing the directory. It holds the
+outcome, not a :class:`~repro.core.results.TrialResult`: the coordinator
+derives the result at commit, as for a trial it just ran, so a hit
+carries nothing of the run that stored it (no telemetry snapshot, no
+retry count). An entry in any other layout than ``format_version`` 2 —
+such as the older result-level ``trial`` body — reads as a miss and is
+overwritten by the next store, so an older cache reads cold once.
 
 Unlike the :class:`~repro.exec.CampaignJournal` (which replays *this
 campaign's* trials by trial id), the cache is keyed purely by content:
@@ -21,7 +31,7 @@ module the trial outcome depends on (``repro.rl``, ``repro.airdrop``,
 ``repro.faults``); any source edit changes the tag and therefore every
 key, invalidating the whole cache at once.
 
-Only ``COMPLETED`` trials are stored: failures, timeouts and pruned
+Only ``completed`` outcomes are stored: failures, timeouts and pruned
 trials may be transient (retry policies exist precisely because of
 them) and must re-run.
 """
@@ -47,6 +57,9 @@ CODE_HASH_PACKAGES = (
     "frameworks",
     "rl",
 )
+
+#: layout of one cache entry; an entry in any other layout is a miss
+FORMAT_VERSION = 2
 
 _default_tag: str | None = None
 
@@ -95,8 +108,14 @@ def _atomic_write(target: str, blob: str) -> None:
     os.replace(tmp, target)
 
 
+def _config_values(config: Any) -> dict[str, str]:
+    """A configuration's values as the key hashes them and an entry
+    guards them."""
+    return {k: repr(v) for k, v in sorted(config.as_dict().items())}
+
+
 class TrialCache:
-    """Memoized trial results, in memory and optionally on disk.
+    """Memoized trial outcomes, in memory and optionally on disk.
 
     Parameters
     ----------
@@ -113,7 +132,6 @@ class TrialCache:
         self.path = None if path is None else os.fspath(path)
         self.code_tag = code_tag if code_tag is not None else code_version_tag()
         self._memory: dict[str, dict[str, Any]] = {}
-        self._outcomes: dict[str, dict[str, Any]] = {}
         self.hits = 0
         self.misses = 0
         if self.path is not None:
@@ -131,7 +149,7 @@ class TrialCache:
         same work.
         """
         payload = {
-            "config": {k: repr(v) for k, v in sorted(config.as_dict().items())},
+            "config": _config_values(config),
             "seed": int(seed),
             "code": self.code_tag,
             **{k: identity[k] for k in sorted(identity)},
@@ -142,81 +160,44 @@ class TrialCache:
     # --------------------------------------------------------------- lookup
     def lookup(
         self, key: str, config: Any, seed: int
-    ) -> tuple[Any, list[tuple[int, float]]] | None:
-        """The cached (TrialResult, checkpoints) under ``key``, if any.
+    ) -> tuple[dict[str, Any], list[tuple[int, float]], float] | None:
+        """The cached (measurements, checkpoints, duration_s) under ``key``.
 
-        The stored configuration values and seed are re-validated against
-        the requesting trial (a digest collision must never replay a
-        different configuration), and the returned result carries the
-        *current* :class:`Configuration` so its ``trial_id`` matches this
-        campaign's numbering.
+        ``None`` exactly on a miss. The stored configuration values and
+        seed are re-validated against the requesting trial, so a digest
+        collision can never replay a different configuration.
         """
-        from dataclasses import replace
-
-        from ..core.serialization import trial_from_dict  # local: avoid cycle
-
         entry = self._memory.get(key)
         if entry is None and self.path is not None:
             entry = self._read_disk(key)
             if entry is not None:
                 self._memory[key] = entry
-        if entry is None:
-            self.misses += 1
-            return None
-        trial = trial_from_dict(entry["trial"])
-        if trial.config.key() != config.key() or int(entry["seed"]) != int(seed):
+        if (
+            entry is None
+            or entry["config"] != _config_values(config)
+            or int(entry["seed"]) != int(seed)
+        ):
             self.misses += 1
             return None
         self.hits += 1
-        checkpoints = [(int(s), float(v)) for s, v in entry.get("checkpoints", [])]
-        return replace(trial, config=config), checkpoints
+        checkpoints = [(int(s), float(v)) for s, v in entry["checkpoints"]]
+        return dict(entry["measurements"]), checkpoints, float(entry["duration_s"])
 
     # ---------------------------------------------------------------- store
-    def store(
-        self,
-        key: str,
-        trial: Any,
-        checkpoints: list[tuple[int, float]] | None = None,
-        seed: int | None = None,
-    ) -> bool:
-        """Record one committed trial; only completed trials are cacheable."""
-        from ..core.results import TrialStatus
-        from ..core.serialization import trial_to_dict  # local: avoid cycle
+    def store(self, key: str, outcome: Any, config: Any, seed: int) -> bool:
+        """Record one completed trial outcome under its content address.
 
-        if trial.status is not TrialStatus.COMPLETED:
+        Returns False, storing nothing, for any other status and for
+        measurements JSON cannot hold.
+        """
+        if outcome.status != "completed":
             return False
         entry = {
-            "format_version": 1,
-            "key": key,
-            "code": self.code_tag,
-            "seed": int(trial.seed if seed is None else seed),
-            "trial": trial_to_dict(trial),
-            "checkpoints": [[int(s), float(v)] for s, v in (checkpoints or [])],
-        }
-        self._memory[key] = entry
-        if self.path is not None:
-            _atomic_write(os.path.join(self.path, f"{key}.json"), json.dumps(entry))
-        return True
-
-    # ------------------------------------------------- worker-side outcomes
-    # Remote workers cannot build a TrialResult (the MetricSet lives with
-    # the coordinator), so they memoize at the *outcome* level instead:
-    # raw measurements + learning-curve checkpoints, keyed by the very
-    # same content address. Entries live next to the result-level ones
-    # (``<key>.outcome.json``) and carry the same code tag guard.
-
-    def store_outcome(
-        self, key: str, outcome: Any, config: Any, seed: int
-    ) -> bool:
-        """Record one completed outcome under its content address."""
-        if getattr(outcome, "status", None) != "completed":
-            return False
-        entry = {
-            "format_version": 1,
+            "format_version": FORMAT_VERSION,
             "key": key,
             "code": self.code_tag,
             "seed": int(seed),
-            "config": {k: repr(v) for k, v in sorted(config.as_dict().items())},
+            "config": _config_values(config),
             "measurements": dict(outcome.measurements),
             "checkpoints": [[int(s), float(v)] for s, v in outcome.checkpoints],
             "duration_s": float(outcome.duration_s),
@@ -224,49 +205,11 @@ class TrialCache:
         try:
             blob = json.dumps(entry)
         except (TypeError, ValueError):
-            return False  # non-JSON measurement values: not cacheable
-        self._outcomes[key] = entry
+            return False
+        self._memory[key] = entry
         if self.path is not None:
-            _atomic_write(os.path.join(self.path, f"{key}.outcome.json"), blob)
+            _atomic_write(os.path.join(self.path, f"{key}.json"), blob)
         return True
-
-    def lookup_outcome(
-        self, key: str, config: Any, seed: int
-    ) -> tuple[dict[str, Any], list[tuple[int, float]], float] | None:
-        """The cached (measurements, checkpoints, duration) for ``key``.
-
-        Like :meth:`lookup`, the stored configuration values and seed are
-        re-validated so a digest collision can never replay the wrong
-        trial.
-        """
-        entry = self._outcomes.get(key)
-        if entry is None and self.path is not None:
-            entry = self._read_outcome_disk(key)
-            if entry is not None:
-                self._outcomes[key] = entry
-        if entry is None:
-            self.misses += 1
-            return None
-        stored_config = {k: repr(v) for k, v in sorted(config.as_dict().items())}
-        if entry.get("config") != stored_config or int(entry["seed"]) != int(seed):
-            self.misses += 1
-            return None
-        self.hits += 1
-        checkpoints = [(int(s), float(v)) for s, v in entry.get("checkpoints", [])]
-        return dict(entry["measurements"]), checkpoints, float(entry["duration_s"])
-
-    def _read_outcome_disk(self, key: str) -> dict[str, Any] | None:
-        if self.path is None:
-            return None
-        target = os.path.join(self.path, f"{key}.outcome.json")
-        try:
-            with open(target, encoding="utf-8") as handle:
-                entry = json.load(handle)
-        except (OSError, json.JSONDecodeError):
-            return None
-        if entry.get("key") != key or entry.get("code") != self.code_tag:
-            return None
-        return entry
 
     # ------------------------------------------------------------ internals
     def _read_disk(self, key: str) -> dict[str, Any] | None:
@@ -278,7 +221,12 @@ class TrialCache:
                 entry = json.load(handle)
         except (OSError, json.JSONDecodeError):
             return None
-        if entry.get("key") != key or entry.get("code") != self.code_tag:
+        if (
+            not isinstance(entry, dict)
+            or entry.get("format_version") != FORMAT_VERSION
+            or entry.get("key") != key
+            or entry.get("code") != self.code_tag
+        ):
             return None
         return entry
 

@@ -81,8 +81,9 @@ class TrialTask:
     #: pid of the submitting process, for worker attribution
     origin_pid: int = field(default_factory=os.getpid)
     #: content address of this trial in the shared TrialCache (set by the
-    #: campaign on cache misses); remote workers use it to answer warm
-    #: trials locally instead of re-running env steps
+    #: campaign on cache misses, which stores the outcome under it at
+    #: commit); remote workers use it to answer warm trials locally
+    #: instead of re-running env steps
     cache_key: str | None = None
 
     def retry(self) -> "TrialTask":

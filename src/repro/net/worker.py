@@ -34,7 +34,9 @@ Cache-aware execution: when the coordinator attached a content address
 trial is answered straight from the cache — no env steps run and
 nothing heavy crosses the wire. Keys are content-addressed (config,
 seed, space/fault-plan/code digests), so every host computes the same
-address for the same work.
+address for the same work, and the worker reads and writes the very
+record a :class:`~repro.core.Campaign` does: an entry either side
+stored answers the other side's lookup.
 """
 
 from __future__ import annotations
@@ -432,7 +434,7 @@ class WorkerAgent:
             key = getattr(task, "cache_key", None)
             if key and self.cache is not None:
                 try:
-                    self.cache.store_outcome(key, outcome, task.config, task.seed)
+                    self.cache.store(key, outcome, task.config, task.seed)
                 except OSError as exc:
                     # a full/broken cache disk must not lose the trial
                     self.log(f"worker {self.name!r}: cache store failed: {exc}")
@@ -478,7 +480,7 @@ class WorkerAgent:
         key = getattr(task, "cache_key", None)
         if not key or self.cache is None:
             return None
-        hit = self.cache.lookup_outcome(key, task.config, task.seed)
+        hit = self.cache.lookup(key, task.config, task.seed)
         if hit is None:
             return None
         measurements, checkpoints, duration_s = hit

@@ -63,14 +63,14 @@ class Scale:
 
 DEFAULT_SCALE = Scale()
 
-#: paper anchor values: solution id -> (framework, rk, nodes, cores,
-#: minutes, kilojoules-or-None)
-PAPER_ANCHORS: dict[int, tuple[str, int, int, int, float, float | None]] = {
-    2: ("rllib", 3, 2, 4, 46.0, 201.0),
-    5: ("rllib", 5, 2, 4, 49.0, 201.0),
-    7: ("rllib", 8, 1, 4, 85.0, None),
-    11: ("tfagents", 3, 1, 4, 49.0, 120.0),
-    16: ("stable", 8, 1, 4, 65.0, None),
+#: paper anchor values: solution id -> (minutes, kilojoules-or-None);
+#: each solution's configuration is its ``TABLE1_CONFIGS`` row
+PAPER_ANCHORS: dict[int, tuple[float, float | None]] = {
+    2: (46.0, 201.0),
+    5: (49.0, 201.0),
+    7: (85.0, None),
+    11: (49.0, 120.0),
+    16: (65.0, None),
 }
 
 

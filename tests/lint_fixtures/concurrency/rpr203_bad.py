@@ -1,5 +1,6 @@
 """Known-bad: blocking calls made while a lock is held — lexically and
-through a ``_locked`` helper whose callers hold the lock (RPR203)."""
+through a ``_locked`` helper whose callers hold the lock (RPR203). A
+``timeout=None`` or ``block=True`` argument bounds nothing."""
 import queue
 import subprocess
 import threading
@@ -9,6 +10,8 @@ import time
 class Pump:
     def __init__(self) -> None:
         self.lock = threading.Lock()
+        self.done = threading.Event()
+        self.inbox = queue.Queue()
 
     def flush(self, sock) -> None:
         q = queue.Queue()
@@ -25,3 +28,8 @@ class Pump:
     def push(self, sock, frame: bytes) -> None:
         with self.lock:
             self._send_locked(sock, frame)
+
+    def settle(self) -> None:
+        with self.lock:
+            self.done.wait(timeout=None)  # None is no deadline
+            self.inbox.get(block=True)  # blocks until an item arrives

@@ -18,6 +18,7 @@ class Pump:
         with self.lock:
             self.pending = data
             item = q.get(timeout=1.0)  # bounded wait is acceptable
+            q.get(block=False)  # never waits: raises queue.Empty instead
         sock.sendall(item)  # after the lock
 
     def wait_ready(self) -> None:

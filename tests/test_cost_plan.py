@@ -136,17 +136,17 @@ def _mean(planned, algorithm: str, attr: str) -> float:
 class TestPaperCostClaims:
     @pytest.mark.parametrize("solution", sorted(PAPER_ANCHORS))
     def test_timing_anchor_within_3_percent(self, planned, solution):
-        minutes = PAPER_ANCHORS[solution][4]
+        minutes, _ = PAPER_ANCHORS[solution]
         planned_min = planned[solution].computation_time_s / 60.0
         assert abs(planned_min - minutes) / minutes < 0.03, (
             f"solution {solution}: planned {planned_min:.2f} min vs paper {minutes} min"
         )
 
     @pytest.mark.parametrize(
-        "solution", sorted(s for s, anchor in PAPER_ANCHORS.items() if anchor[5] is not None)
+        "solution", sorted(s for s, (_, kj) in PAPER_ANCHORS.items() if kj is not None)
     )
     def test_energy_anchor_within_7_percent(self, planned, solution):
-        kj = PAPER_ANCHORS[solution][5]
+        _, kj = PAPER_ANCHORS[solution]
         planned_kj = planned[solution].energy_kj
         assert abs(planned_kj - kj) / kj < 0.07, (
             f"solution {solution}: planned {planned_kj:.1f} kJ vs paper {kj} kJ"

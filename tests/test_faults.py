@@ -245,6 +245,30 @@ class TestFaultPlan:
         assert one.plan_hash() != other.plan_hash()
         one.validate(n_nodes=2)
 
+    @pytest.mark.parametrize(
+        "intensity, digest, n_events, failure_rate",
+        [
+            (0.1, "10845cf8f532", 3, None),
+            (0.5, "10845cf8f532", 3, None),
+            (1.0, "10845cf8f532", 3, None),
+            (1.4, "10845cf8f532", 3, None),
+            (1.5, "d2efe263c83e", 5, None),
+            (1.6, "d2efe263c83e", 5, None),
+            (2.0, "71a5749530a4", 6, 0.04),
+        ],
+    )
+    def test_intensity_sets_only_how_many_events(self, intensity, digest, n_events, failure_rate):
+        """``max(1, round(intensity))`` events of each kind, task failures
+        from 2.0 on; the events themselves come from the seed alone."""
+        plan = FaultPlan.sample(seed=7, n_nodes=2, horizon_s=6.0, intensity=intensity)
+        assert plan.plan_hash() == digest
+        assert plan.n_events == n_events
+        rate = None if plan.task_failures is None else plan.task_failures.rate
+        assert rate == failure_rate
+        one_each = FaultPlan.sample(seed=7, n_nodes=2, horizon_s=6.0, intensity=1.0)
+        assert plan.stragglers[:1] == one_each.stragglers
+        assert plan.link_faults[:1] == one_each.link_faults
+
     def test_describe_mentions_every_event(self):
         text = CHAOS_PLAN.describe()
         for word in ("crash", "straggler", "bandwidth", "failures"):

@@ -52,7 +52,7 @@ CONTRACTS_BAD = FIXTURES / "contracts_bad"
 RPR2XX_EXPECTATIONS = [
     ("rpr201_bad.py", "RPR201", 2),
     ("rpr202_bad.py", "RPR202", 1),
-    ("rpr203_bad.py", "RPR203", 6),
+    ("rpr203_bad.py", "RPR203", 8),
     ("rpr204_bad.py", "RPR204", 2),
     ("rpr205_bad.py", "RPR205", 2),
 ]
@@ -616,7 +616,7 @@ def test_cli_sarif_artifact_and_format(tmp_path, capsys):
     assert code == 1
     decoded = json.loads(artifact.read_text())
     assert decoded["version"] == "2.1.0"
-    assert len(decoded["runs"][0]["results"]) == 6
+    assert len(decoded["runs"][0]["results"]) == 8
     capsys.readouterr()
     assert main(["lint", bad, "--no-contracts", "--format", "sarif"]) == 1
     streamed = json.loads(capsys.readouterr().out)

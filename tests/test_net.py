@@ -5,7 +5,8 @@ guards (protocol version, code-version tag, duplicate names), the
 determinism matrix extension (a remote campaign fingerprints identically
 to serial/thread/process), failure handling (silent workers reaped,
 kill -9 mid-campaign recovered through the retry policy, resume under a
-different topology warned about) and the worker-side outcome cache.
+different topology warned about) and the trial-cache record workers and
+campaigns share.
 """
 
 from __future__ import annotations
@@ -625,7 +626,7 @@ class TestWorkerRobustness:
         def boom(*args, **kwargs):
             raise OSError("disk full")
 
-        cache.store_outcome = boom
+        cache.store = boom
         frame = self.task_frame(cache_key="b" * 32)
         outcome = self.drive(frame, cache=cache)
         assert outcome.status == "completed"
@@ -731,7 +732,21 @@ class TestTopologyWarning:
 
 
 # ----------------------------------------------------- worker outcome cache
+class CountingCaseStudy(RemoteCaseStudy):
+    """Counts the evaluations it runs in this process."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = 0
+
+    def evaluate(self, config, seed, progress=None):
+        self.calls += 1
+        return super().evaluate(config, seed, progress)
+
+
 class TestOutcomeCache:
+    """Campaigns and remote workers read and write one record per key."""
+
     KEY = "a" * 32
 
     def outcome(self, status="completed"):
@@ -746,42 +761,68 @@ class TestOutcomeCache:
 
     def test_round_trip_revalidates_config_and_seed(self, tmp_path):
         cache = TrialCache(tmp_path)
-        assert cache.store_outcome(self.KEY, self.outcome(), self.config(), 7)
-        hit = cache.lookup_outcome(self.KEY, self.config(), 7)
+        assert cache.store(self.KEY, self.outcome(), self.config(), 7)
+        hit = cache.lookup(self.KEY, self.config(), 7)
         assert hit == ({"reward": 1.0, "time": 10.0}, [(1, 0.5)], 0.25)
         # a colliding key must never replay a different config or seed
-        assert cache.lookup_outcome(self.KEY, self.config(quality=2), 7) is None
-        assert cache.lookup_outcome(self.KEY, self.config(), 8) is None
+        assert cache.lookup(self.KEY, self.config(quality=2), 7) is None
+        assert cache.lookup(self.KEY, self.config(), 8) is None
 
     @pytest.mark.parametrize("status", ["failed", "timeout", "crashed", "pruned"])
     def test_only_completed_outcomes_are_stored(self, tmp_path, status):
         cache = TrialCache(tmp_path)
-        assert not cache.store_outcome(self.KEY, self.outcome(status),
-                                       self.config(), 0)
-        assert cache.lookup_outcome(self.KEY, self.config(), 0) is None
+        assert not cache.store(self.KEY, self.outcome(status), self.config(), 0)
+        assert cache.lookup(self.KEY, self.config(), 0) is None
 
     def test_disk_entries_survive_restart_but_not_code_edits(self, tmp_path):
-        TrialCache(tmp_path).store_outcome(self.KEY, self.outcome(),
-                                           self.config(), 0)
+        TrialCache(tmp_path).store(self.KEY, self.outcome(), self.config(), 0)
         fresh = TrialCache(tmp_path)
-        assert fresh.lookup_outcome(self.KEY, self.config(), 0) is not None
+        assert fresh.lookup(self.KEY, self.config(), 0) is not None
         edited = TrialCache(tmp_path, code_tag="deadbeefcafe")
-        assert edited.lookup_outcome(self.KEY, self.config(), 0) is None
+        assert edited.lookup(self.KEY, self.config(), 0) is None
 
     def test_worker_answers_warm_trials_from_shared_cache(self, tmp_path):
-        warm = str(tmp_path / "shared-cache")
+        warm = tmp_path / "shared-cache"
         report1, agents1 = run_remote_campaign(
-            n_workers=1, cache=TrialCache(warm), worker_kwargs={"cache": warm}
+            n_workers=1, cache=TrialCache(warm), worker_kwargs={"cache": str(warm)}
         )
         assert sum(a.n_executed for a in agents1) == 8
         assert sum(a.n_cache_hits for a in agents1) == 0
+        # the campaign and the worker stored the same record per trial
+        assert len(list(warm.iterdir())) == 8
         # a fresh campaign-side cache misses, but the worker's shared
         # store answers every trial without re-running env steps
         report2, agents2 = run_remote_campaign(
             n_workers=1,
             cache=TrialCache(str(tmp_path / "cold-cache")),
-            worker_kwargs={"cache": warm},
+            worker_kwargs={"cache": str(warm)},
         )
         assert sum(a.n_executed for a in agents2) == 0
         assert sum(a.n_cache_hits for a in agents2) == 8
         assert table_fingerprint(report2.table) == table_fingerprint(report1.table)
+
+    def test_campaign_entry_answers_a_worker_lookup(self, tmp_path):
+        shared = tmp_path / "shared-cache"
+        serial = campaign(cache=TrialCache(shared)).run()
+        report, agents = run_remote_campaign(
+            n_workers=1,
+            cache=TrialCache(tmp_path / "cold-cache"),
+            worker_kwargs={"cache": str(shared)},
+        )
+        assert sum(a.n_executed for a in agents) == 0
+        assert sum(a.n_cache_hits for a in agents) == 8
+        assert table_fingerprint(report.table) == table_fingerprint(serial.table)
+
+    def test_worker_entry_answers_a_campaign_lookup(self, tmp_path):
+        shared = tmp_path / "shared-cache"
+        remote, agents = run_remote_campaign(
+            n_workers=1,
+            cache=TrialCache(tmp_path / "coordinator-cache"),
+            worker_kwargs={"cache": str(shared)},
+        )
+        assert sum(a.n_executed for a in agents) == 8
+        study = CountingCaseStudy()
+        warm = campaign(study, cache=TrialCache(shared)).run()
+        assert study.calls == 0
+        assert warm.meta["n_cached"] == 8
+        assert table_fingerprint(warm.table) == table_fingerprint(remote.table)
