@@ -10,6 +10,10 @@ before anything runs:
   visitors, ``# repro-lint: disable=RULE -- reason`` suppressions and
   ``file:line`` reporting; the run is two-pass, building a shared
   whole-program model for the model rules;
+* :mod:`repro.analysis.hazards` — the hazard catalogue: what a call is
+  (unseeded RNG draw, wall-clock read, digest, or a blocking call of a
+  named kind) over its import-resolved name, and the one rule for when
+  a blocking call is bounded; every rule below classifies calls there;
 * :mod:`repro.analysis.model` — the project-wide symbol table, call
   graph and thread/lock model behind the whole-program rules;
 * :mod:`repro.analysis.rules` — the rule library: determinism hazards

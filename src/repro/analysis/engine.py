@@ -25,8 +25,11 @@ import io
 import os
 import tokenize
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path, PurePath
 from typing import Iterable, Iterator, Sequence
+
+from .hazards import ImportTable
 
 __all__ = [
     "Finding",
@@ -94,6 +97,24 @@ class FileContext:
     parts: tuple[str, ...]
     #: target code line -> suppression active on that line
     suppressions: dict[int, Suppression] = field(default_factory=dict)
+
+    @cached_property
+    def module(self) -> str:
+        """Dotted module name, walking up through ``__init__.py``
+        packages (``src/repro/net/worker.py`` -> ``repro.net.worker``)."""
+        p = Path(self.path)
+        parts = [p.stem] if p.stem != "__init__" else []
+        parent = p.parent
+        while (parent / "__init__.py").is_file():
+            parts.insert(0, parent.name)
+            parent = parent.parent
+        return ".".join(parts) if parts else p.stem
+
+    @cached_property
+    def imports(self) -> ImportTable:
+        """The module-level import table, built once and shared by the
+        per-file rules and the project model."""
+        return ImportTable.build(self.tree, self.module)
 
 
 class Rule:

@@ -4,9 +4,11 @@ A :class:`ProjectModel` is built once per ``repro lint`` run from the
 already-parsed :class:`~repro.analysis.engine.FileContext` objects.  It
 holds, per module:
 
-* a **symbol table** — imports (with aliases and relative-import
-  resolution), module functions, classes and their methods;
-* a **call graph** — every call site resolved, where possible, to the
+* a **symbol table** — the file's import table (``FileContext.imports``,
+  shared with the per-file rules), module functions, classes and their
+  methods;
+* a **call graph** — every call site, classified once by the hazard
+  catalogue (:mod:`repro.analysis.hazards`), resolved where possible to the
   project-level qualname of its callee (``pkg.mod.Class.method`` or
   ``pkg.mod.func``), including ``self.m()`` dispatch, constructor calls
   (``ClassName(...)`` resolves to ``__init__``) and attribute calls on
@@ -32,10 +34,10 @@ from __future__ import annotations
 import ast
 from collections import deque
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Iterable, Sequence
 
 from .engine import FileContext
+from .hazards import blocking_kind, bounded, call_target, dotted_name
 
 __all__ = [
     "AttrMutation",
@@ -47,13 +49,14 @@ __all__ = [
     "ModuleInfo",
     "ProjectModel",
     "ThreadSpawn",
-    "dotted_name",
-    "module_name_for",
 ]
 
-_LOCK_CTORS = {"Lock", "RLock"}
-_COND_CTORS = {"Condition"}
-_THREADING = "threading"
+#: resolved constructor -> lock kind; a Condition aliases the lock it wraps
+_LOCK_CTORS = {
+    "threading.Lock": "lock",
+    "threading.RLock": "lock",
+    "threading.Condition": "cond",
+}
 
 #: method names that mutate their receiver in place
 MUTATOR_METHODS = frozenset(
@@ -64,30 +67,6 @@ MUTATOR_METHODS = frozenset(
 )
 
 
-def dotted_name(node: ast.AST) -> str | None:
-    """``a.b.c`` for a Name/Attribute chain, else None."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
-
-
-def module_name_for(path: str | Path) -> str:
-    """Dotted module name for a file, walking up through ``__init__.py``
-    packages (``src/repro/net/worker.py`` -> ``repro.net.worker``)."""
-    p = Path(path)
-    parts = [p.stem] if p.stem != "__init__" else []
-    parent = p.parent
-    while (parent / "__init__.py").is_file():
-        parts.insert(0, parent.name)
-        parent = parent.parent
-    return ".".join(parts) if parts else p.stem
-
-
 @dataclass(frozen=True)
 class CallSite:
     """One call expression inside a function body."""
@@ -96,7 +75,8 @@ class CallSite:
     line: int
     col: int
     locks: frozenset[str]  #: lock ids lexically held at the call
-    has_timeout: bool  #: a bound was given (see :func:`_call_has_timeout`)
+    kind: str | None  #: blocking kind from the hazard catalogue, if any
+    bounded: bool  #: its arguments bound the wait (``hazards.bounded``)
     in_loop: bool
 
 
@@ -184,13 +164,11 @@ class ClassInfo:
 
 @dataclass
 class ModuleInfo:
-    """One parsed module and its import table."""
+    """One parsed module; its import table is ``ctx.imports``."""
 
     name: str
     path: str
     ctx: FileContext
-    imports: dict[str, str] = field(default_factory=dict)  #: alias -> module
-    from_imports: dict[str, str] = field(default_factory=dict)  #: name -> dotted
     functions: dict[str, FunctionInfo] = field(default_factory=dict)
     classes: dict[str, ClassInfo] = field(default_factory=dict)
 
@@ -228,16 +206,7 @@ class ProjectModel:
         """Fully resolve a dotted name through the module's import table
         (``np.random.default_rng`` -> ``numpy.random.default_rng``)."""
         info = self.modules.get(module)
-        if info is None:
-            return name
-        head, _, rest = name.partition(".")
-        if head in info.from_imports:
-            base = info.from_imports[head]
-        elif head in info.imports:
-            base = info.imports[head]
-        else:
-            return name
-        return f"{base}.{rest}" if rest else base
+        return name if info is None else info.ctx.imports.resolve(name)
 
     def resolve_call(
         self, fn: FunctionInfo, name: str
@@ -367,18 +336,6 @@ class ProjectModel:
                 self.thread_entries.setdefault(run.qualname, []).append(spawn)
 
     # ------------------------------------------------------- reachability
-    def reachable_from(self, roots: Iterable[str]) -> set[str]:
-        """Qualnames reachable from ``roots`` through the call graph."""
-        seen = set(roots)
-        queue = deque(seen)
-        while queue:
-            current = queue.popleft()
-            for callee, _ in self.call_graph.get(current, []):
-                if callee not in seen:
-                    seen.add(callee)
-                    queue.append(callee)
-        return seen
-
     def call_path(self, src: str, dst: str, limit: int = 8) -> list[str]:
         """Shortest call-graph path ``src -> ... -> dst`` (both included)."""
         if src == dst:
@@ -469,11 +426,9 @@ def _iter_functions(info: ModuleInfo) -> Iterable[FunctionInfo]:
 
 
 def _collect_module(ctx: FileContext) -> ModuleInfo:
-    name = module_name_for(ctx.path)
+    name = ctx.module
     info = ModuleInfo(name=name, path=ctx.path, ctx=ctx)
     assert isinstance(ctx.tree, ast.Module)
-    for stmt in ctx.tree.body:
-        _collect_import(info, stmt)
     for stmt in ctx.tree.body:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
             fn = FunctionInfo(
@@ -489,39 +444,6 @@ def _collect_module(ctx: FileContext) -> ModuleInfo:
         elif isinstance(stmt, ast.ClassDef):
             info.classes[stmt.name] = _collect_class(info, stmt)
     return info
-
-
-def _collect_import(info: ModuleInfo, stmt: ast.stmt) -> None:
-    if isinstance(stmt, ast.Import):
-        for alias in stmt.names:
-            if alias.asname is not None:
-                info.imports[alias.asname] = alias.name
-            else:
-                # "import a.b" binds "a"; "a.b.c()" resolves through it
-                head = alias.name.split(".")[0]
-                info.imports[head] = head
-    elif isinstance(stmt, ast.ImportFrom):
-        base = _resolve_from_module(info.name, stmt)
-        for alias in stmt.names:
-            if alias.name == "*":
-                continue
-            info.from_imports[alias.asname or alias.name] = (
-                f"{base}.{alias.name}" if base else alias.name
-            )
-
-
-def _resolve_from_module(module: str, stmt: ast.ImportFrom) -> str:
-    """Absolute module a ``from ... import`` pulls from, resolving
-    relative levels against the importing module's package."""
-    if stmt.level == 0:
-        return stmt.module or ""
-    package_parts = module.split(".")[:-1]
-    if stmt.level > 1:
-        package_parts = package_parts[: len(package_parts) - (stmt.level - 1)]
-    base = ".".join(package_parts)
-    if stmt.module:
-        base = f"{base}.{stmt.module}" if base else stmt.module
-    return base
 
 
 def _collect_class(info: ModuleInfo, node: ast.ClassDef) -> ClassInfo:
@@ -559,20 +481,7 @@ def _collect_class(info: ModuleInfo, node: ast.ClassDef) -> ClassInfo:
 
 def _lock_ctor_kind(info: ModuleInfo, call: ast.Call) -> str | None:
     """'lock' for Lock/RLock calls, 'cond' for Condition, else None."""
-    name = dotted_name(call.func)
-    if name is None:
-        return None
-    parts = name.split(".")
-    tail = parts[-1]
-    if tail not in _LOCK_CTORS | _COND_CTORS:
-        return None
-    if len(parts) == 1:
-        head_ok = info.from_imports.get(tail, "").startswith(_THREADING)
-    else:
-        head_ok = info.imports.get(parts[0], parts[0]) == _THREADING
-    if head_ok:
-        return "cond" if tail in _COND_CTORS else "lock"
-    return None
+    return _LOCK_CTORS.get(call_target(call, info.ctx.imports))
 
 
 def _collect_class_attrs(
@@ -633,29 +542,6 @@ def _collect_class_attrs(
 
 
 # ----------------------------------------------------------- body scanner
-def _is_constant(node: ast.expr, value: object) -> bool:
-    return isinstance(node, ast.Constant) and node.value is value
-
-
-def _call_has_timeout(call: ast.Call) -> bool:
-    """Whether the call bounds its wait: a ``timeout=`` that is not a
-    literal ``None``, a ``block=`` that is not a literal ``True``, or a
-    positional of ``wait()``/``join()`` (their timeout) that is not a
-    literal ``None``."""
-    for kw in call.keywords:
-        if kw.arg == "timeout" and not _is_constant(kw.value, None):
-            return True
-        if kw.arg == "block" and not _is_constant(kw.value, True):
-            return True
-    name = dotted_name(call.func)
-    tail = name.rsplit(".", 1)[-1] if name else ""
-    return (
-        tail in ("wait", "join")
-        and bool(call.args)
-        and not _is_constant(call.args[0], None)
-    )
-
-
 class _FunctionScanner:
     """Single-pass body walk tracking lexically held locks."""
 
@@ -873,13 +759,15 @@ class _FunctionScanner:
                 receiver = name.rsplit(".", 1)[0]
                 if receiver not in self.fn.joins:
                     self.fn.joins.append(receiver)
+            target = self.info.ctx.imports.resolve(name)
             self.fn.calls.append(
                 CallSite(
                     name=name,
                     line=node.lineno,
                     col=node.col_offset,
                     locks=self._held(),
-                    has_timeout=_call_has_timeout(node),
+                    kind=blocking_kind(target),
+                    bounded=bounded(node, target),
                     in_loop=self.loop_depth > 0,
                 )
             )
@@ -887,18 +775,7 @@ class _FunctionScanner:
     def _thread_spawn(
         self, call: ast.Call, assigned_to: str | None
     ) -> ThreadSpawn | None:
-        name = dotted_name(call.func)
-        if name is None:
-            return None
-        parts = name.split(".")
-        if parts[-1] != "Thread":
-            return None
-        if len(parts) > 1 and parts[0] not in (_THREADING,):
-            if self.info.imports.get(parts[0], "") != _THREADING:
-                return None
-        if len(parts) == 1 and not self.info.from_imports.get(
-            "Thread", ""
-        ).startswith(_THREADING):
+        if call_target(call, self.info.ctx.imports) != "threading.Thread":
             return None
         target: str | None = None
         daemon = False

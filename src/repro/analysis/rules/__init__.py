@@ -6,7 +6,9 @@ RPR201-RPR205 plus the interprocedural RPR001/RPR002 taint upgrade)
 that runs over the shared project model; ``default_project_rules()`` is
 the cross-file contract checker that validates the repo's dataclasses
 against their serialized identity headers. ``rule_table()`` feeds
-``repro lint --list-rules`` and the docs.
+``repro lint --list-rules`` and the docs. No rule keeps its own list of
+hazardous calls: each asks :mod:`repro.analysis.hazards`, so a call
+reads the same to every rule and to both passes.
 """
 
 from __future__ import annotations

@@ -20,9 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+from .. import hazards
 from ..engine import Finding, ModelRuleLike
 from ..model import (
     AttrMutation,
+    CallSite,
     ClassInfo,
     FunctionInfo,
     ProjectModel,
@@ -381,16 +383,6 @@ class LockOrderCycleRule(ModelRule):
         return [start] if start == goal else None
 
 
-_SOCKET_VERBS = frozenset(
-    {"recv", "recv_into", "recvfrom", "accept", "connect", "sendall", "send"}
-)
-_WAIT_VERBS = frozenset({"wait", "join"})
-_QUEUE_VERBS = frozenset({"get", "put"})
-_SUBPROCESS_VERBS = frozenset(
-    {"run", "call", "check_call", "check_output", "communicate"}
-)
-
-
 class BlockingCallUnderLockRule(ModelRule):
     """RPR203 — blocking I/O and sleeps while holding a lock."""
 
@@ -410,7 +402,7 @@ class BlockingCallUnderLockRule(ModelRule):
                 held = site.locks | entry
                 if not held:
                     continue
-                verdict = self._blocking(model, fn, site.name, site.has_timeout, held)
+                verdict = self._blocking(model, fn, site, held)
                 if verdict is None:
                     continue
                 locks = ", ".join(sorted(held))
@@ -426,30 +418,26 @@ class BlockingCallUnderLockRule(ModelRule):
         self,
         model: ProjectModel,
         fn: FunctionInfo,
-        name: str,
-        has_timeout: bool,
+        site: CallSite,
         held: frozenset[str],
     ) -> str | None:
-        tail = name.rsplit(".", 1)[-1]
-        resolved = model.resolve_name(fn.module, name)
-        if resolved == "time.sleep":
+        """Socket I/O, sleeps and subprocess waits are reported whatever
+        their bound; parks and queue waits only when unbounded."""
+        if site.kind == hazards.SLEEP:
             return "sleeps"
-        if tail in _SOCKET_VERBS and "." in name:
+        if site.kind in hazards.SOCKET_KINDS:
             return "performs socket/stream I/O"
-        if tail in _WAIT_VERBS:
-            if has_timeout:
-                return None
-            receiver = name.rsplit(".", 1)[0] if "." in name else ""
+        if site.kind == hazards.SUBPROCESS:
+            return "waits on a subprocess"
+        if site.bounded:
+            return None
+        receiver = site.name.rpartition(".")[0]
+        if site.kind == hazards.PARK:
             if self._is_held_sync_attr(model, fn, receiver, held):
                 return None  # Condition.wait releases the lock it wraps
             return "blocks without a timeout"
-        if tail in _QUEUE_VERBS and "." in name and not has_timeout:
-            if self._queue_typed(model, fn, name.rsplit(".", 1)[0]):
-                return "blocks on a queue without a timeout"
-            return None
-        head = resolved.split(".", 1)[0]
-        if head == "subprocess" and tail in _SUBPROCESS_VERBS:
-            return "waits on a subprocess"
+        if site.kind == hazards.QUEUE and self._queue_typed(model, fn, receiver):
+            return "blocks on a queue without a timeout"
         return None
 
     @staticmethod

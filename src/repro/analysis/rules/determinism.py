@@ -10,11 +10,11 @@ between the serial and vectorized paths.
 from __future__ import annotations
 
 import ast
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from ...exec.cache import CODE_HASH_PACKAGES
+from .. import hazards
 from ..engine import FileContext, Finding, Rule
-from ..model import dotted_name
 
 __all__ = [
     "UnseededRngRule",
@@ -26,21 +26,6 @@ __all__ = [
 #: packages whose results feed Table I / trial fingerprints: global RNG
 #: state or wall-clock reads here are reproducibility hazards
 MEASURED_PACKAGES = ("rl", "airdrop", "envs", "faults", "frameworks")
-
-
-#: stdlib ``random`` module functions that mutate/read the hidden global RNG
-_STDLIB_RANDOM_FNS = frozenset(
-    {
-        "betavariate", "choice", "choices", "expovariate", "gammavariate",
-        "gauss", "getrandbits", "lognormvariate", "normalvariate", "paretovariate",
-        "randbytes", "randint", "random", "randrange", "sample", "seed",
-        "shuffle", "triangular", "uniform", "vonmisesvariate", "weibullvariate",
-    }
-)
-
-#: ``np.random`` attributes that are *not* the legacy global-state API
-_NP_RANDOM_EXPLICIT = frozenset({"default_rng", "Generator", "SeedSequence", "PCG64",
-                                 "Philox", "SFC64", "MT19937", "BitGenerator"})
 
 
 class UnseededRngRule(Rule):
@@ -55,53 +40,22 @@ class UnseededRngRule(Rule):
     scope = MEASURED_PACKAGES
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            name = dotted_name(node.func)
-            if name is None:
-                continue
-            message = self._diagnose(name, node)
-            if message is not None:
-                yield self.finding(ctx, node, message)
-
-    def _diagnose(self, name: str, call: ast.Call) -> str | None:
-        head, _, fn = name.rpartition(".")
-        if head in ("np.random", "numpy.random"):
-            if fn in _NP_RANDOM_EXPLICIT:
-                if fn == "default_rng" and _no_seed(call):
-                    return (
-                        f"{name}() without a seed draws OS entropy; "
-                        "thread a seed through instead"
-                    )
-                return None
-            return (
-                f"{name} uses numpy's hidden global RNG; use a seeded "
-                "np.random.Generator (default_rng(seed)) instead"
-            )
-        if head == "random" and fn in _STDLIB_RANDOM_FNS:
-            return (
-                f"{name} uses the stdlib global RNG; use a seeded "
-                "random.Random(seed) or np.random.default_rng(seed)"
-            )
-        if name in ("default_rng", "np.random.default_rng") and _no_seed(call):
-            return "default_rng() without a seed draws OS entropy"
-        if name == "random.Random" and _no_seed(call):
-            return "random.Random() without a seed draws OS entropy"
-        return None
-
-
-def _no_seed(call: ast.Call) -> bool:
-    return not call.args and not call.keywords
-
-
-#: wall-clock reads; perf_counter/monotonic are included because aliasing
-#: them into measured code is exactly how timing leaks into results
-_TIME_FNS = frozenset(
-    {"time", "time_ns", "perf_counter", "perf_counter_ns", "monotonic",
-     "monotonic_ns", "process_time", "process_time_ns"}
-)
-_DATETIME_FNS = frozenset({"now", "utcnow", "today"})
+        for site in hazards.rng_draws(ctx.tree, ctx.imports):
+            if site.kind == hazards.NUMPY_GLOBAL:
+                message = (
+                    f"{site.name} uses numpy's hidden global RNG; use a seeded "
+                    "np.random.Generator (default_rng(seed)) instead"
+                )
+            elif site.kind == hazards.STDLIB_GLOBAL:
+                message = (
+                    f"{site.name} uses the stdlib global RNG; use a seeded "
+                    "random.Random(seed) or np.random.default_rng(seed)"
+                )
+            else:
+                message = f"{site.name}() without a seed draws OS entropy"
+                if site.name.endswith(".default_rng"):
+                    message += "; thread a seed through instead"
+            yield self.finding(ctx, site.node, message)
 
 
 class WallClockRule(Rule):
@@ -117,36 +71,16 @@ class WallClockRule(Rule):
     scope = CODE_HASH_PACKAGES
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            # both `time.time()` calls and `clock = time.perf_counter`
-            # aliases: the alias is how clock reads usually sneak in
-            if not isinstance(node, ast.Attribute):
-                continue
-            name = dotted_name(node)
-            if name is None:
-                continue
-            head, _, fn = name.rpartition(".")
-            if head == "time" and fn in _TIME_FNS:
-                yield self.finding(
-                    ctx,
-                    node,
-                    f"{name} read in a module hashed into trial cache keys; "
-                    "wall-clock values must not reach measurements or "
-                    "fingerprints",
+        for site in hazards.clock_reads(ctx.tree, ctx.imports):
+            if site.kind == hazards.CLOCK:
+                message = (
+                    f"{site.name} read in a module hashed into trial cache "
+                    "keys; wall-clock values must not reach measurements "
+                    "or fingerprints"
                 )
-            elif fn in _DATETIME_FNS and head.split(".")[-1] in ("datetime", "date"):
-                yield self.finding(
-                    ctx,
-                    node,
-                    f"{name}() read in a module hashed into trial cache keys",
-                )
-
-
-#: hashlib constructors considered hash sinks
-_HASHLIB_FNS = frozenset(
-    {"new", "md5", "sha1", "sha224", "sha256", "sha384", "sha512",
-     "blake2b", "blake2s", "sha3_256", "sha3_512", "shake_128", "shake_256"}
-)
+            else:
+                message = f"{site.name}() read in a module hashed into trial cache keys"
+            yield self.finding(ctx, site.node, message)
 
 
 class UnorderedHashRule(Rule):
@@ -164,20 +98,17 @@ class UnorderedHashRule(Rule):
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
-            sink = self._sink_kind(node)
+            sink = self._sink_kind(node, hazards.call_target(node, ctx.imports))
             if sink is None:
                 continue
             for arg in list(node.args) + [kw.value for kw in node.keywords]:
                 yield from self._scan_payload(ctx, arg, sink)
 
-    def _sink_kind(self, call: ast.Call) -> str | None:
-        name = dotted_name(call.func)
-        if name is None:
-            return None
-        head, _, fn = name.rpartition(".")
-        if head == "hashlib" and fn in _HASHLIB_FNS:
+    @staticmethod
+    def _sink_kind(call: ast.Call, target: str) -> str | None:
+        if hazards.is_digest(target):
             return "hashlib"
-        if name in ("json.dumps", "json.dump") and not any(
+        if target in ("json.dumps", "json.dump") and not any(
             kw.arg == "sort_keys" for kw in call.keywords
         ):
             return "json"
@@ -187,21 +118,17 @@ class UnorderedHashRule(Rule):
         self, ctx: FileContext, node: ast.AST, sink: str, in_sorted: bool = False
     ) -> Iterator[Finding]:
         if isinstance(node, ast.Call):
-            name = dotted_name(node.func)
-            if name == "sorted":
+            target = hazards.call_target(node, ctx.imports)
+            if target == "sorted":
                 in_sorted = True
-            elif (
-                sink == "hashlib"
-                and name in ("json.dumps", "json.dump")
-                and not any(kw.arg == "sort_keys" for kw in node.keywords)
-            ):
+            elif sink == "hashlib" and self._sink_kind(node, target) == "json":
                 yield self.finding(
                     ctx,
                     node,
                     "json.dumps feeding a hash without sort_keys=True; "
                     "key order would depend on dict construction order",
                 )
-            hazard = self._hazard(node, in_sorted)
+            hazard = self._hazard(node, target, in_sorted)
             if hazard is not None:
                 yield self.finding(ctx, node, hazard)
         elif isinstance(node, (ast.Set, ast.SetComp)) and not in_sorted:
@@ -214,15 +141,15 @@ class UnorderedHashRule(Rule):
         for child in ast.iter_child_nodes(node):
             yield from self._scan_payload(ctx, child, sink, in_sorted)
 
-    def _hazard(self, call: ast.Call, in_sorted: bool) -> str | None:
+    @staticmethod
+    def _hazard(call: ast.Call, target: str, in_sorted: bool) -> str | None:
         if in_sorted:
             return None
-        name = dotted_name(call.func)
-        if name == "set":
+        if target == "set":
             return "set(...) feeding a digest without sorted()"
         if isinstance(call.func, ast.Attribute) and call.func.attr == "keys":
             return (
-                f"{dotted_name(call.func) or '<expr>.keys'}() feeding a digest "
+                f"{hazards.dotted_name(call.func) or '<expr>.keys'}() feeding a digest "
                 "without sorted(); wrap in sorted(...) to pin the order"
             )
         return None

@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
+from .. import hazards
 from ..engine import FileContext, Finding, Rule
 
 __all__ = [
@@ -68,23 +69,16 @@ class SwallowedExceptionRule(Rule):
         ) and stmt.value.value is Ellipsis
 
 
-#: socket methods that block until the peer acts
-_BLOCKING_SOCK_METHODS = frozenset(
-    {"recv", "recv_into", "recvfrom", "recvfrom_into", "accept", "connect"}
-)
-
-
 class SocketTimeoutRule(Rule):
-    """RPR007: blocking socket calls in ``repro.net`` without a timeout.
+    """RPR007: blocking socket reads and dials in ``repro.net`` without a
+    timeout.
 
-    The heuristic is per-function: a ``recv``/``accept``/``connect``
-    call is fine when the *same* function arms a timeout via
-    ``settimeout(...)`` (with a non-``None`` value) before blocking, or
-    when the call itself carries an explicit ``timeout=`` keyword (the
-    :class:`~repro.net.protocol.FrameStream` wrappers take the deadline
-    at the call site), and ``create_connection`` must be given its
-    ``timeout`` argument. Nested functions are separate scopes — a
-    timeout armed in an outer function does not protect an inner one.
+    Each function is its own scope, and so is the module body: a call is
+    judged by the catalogue's bound rule (``repro.analysis.hazards``),
+    where a ``settimeout(...)`` counts only for the calls that follow it
+    in the same scope. A timeout armed in an outer function does not
+    protect a nested one. Writes are out of scope (``send_frame`` arms
+    its own write deadline).
     """
 
     rule_id = "RPR007"
@@ -103,78 +97,38 @@ class SocketTimeoutRule(Rule):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
         )
         for unit in units:
-            yield from self._check_unit(ctx, unit)
-
-    def _check_unit(self, ctx: FileContext, unit: ast.AST) -> Iterator[Finding]:
-        calls = self._own_calls(unit)
-        armed = any(self._arms_timeout(call) for call in calls)
-        for call in calls:
-            name = self._method_name(call)
-            if name in _BLOCKING_SOCK_METHODS and not (
-                armed or self._has_timeout_kwarg(call)
-            ):
-                yield self.finding(
-                    ctx,
-                    call,
-                    f".{name}() with no timeout armed in this function; "
-                    "call settimeout(...) first so a dead peer cannot "
-                    "hang the campaign",
-                )
-            elif name == "create_connection" and not (
-                armed or self._has_timeout_arg(call)
-            ):
-                yield self.finding(
-                    ctx,
-                    call,
-                    "create_connection() without a timeout argument "
-                    "blocks indefinitely on an unreachable coordinator",
-                )
-
-    @staticmethod
-    def _own_calls(unit: ast.AST) -> list[ast.Call]:
-        """Calls in this scope, excluding nested function bodies."""
-        body = getattr(unit, "body", [])
-        calls: list[ast.Call] = []
-        stack: list[ast.AST] = list(body)
-        while stack:
-            node = stack.pop()
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                continue
-            if isinstance(node, ast.Call):
-                calls.append(node)
-            stack.extend(ast.iter_child_nodes(node))
-        return calls
-
-    @staticmethod
-    def _method_name(call: ast.Call) -> str | None:
-        if isinstance(call.func, ast.Attribute):
-            return call.func.attr
-        if isinstance(call.func, ast.Name):
-            return call.func.id
-        return None
-
-    @classmethod
-    def _arms_timeout(cls, call: ast.Call) -> bool:
-        if cls._method_name(call) != "settimeout" or not call.args:
-            return False
-        arg = call.args[0]
-        # settimeout(None) *disarms* the timeout — it does not count
-        return not (isinstance(arg, ast.Constant) and arg.value is None)
-
-    @staticmethod
-    def _has_timeout_arg(call: ast.Call) -> bool:
-        if len(call.args) >= 2:
-            return True
-        return any(kw.arg == "timeout" for kw in call.keywords)
-
-    @staticmethod
-    def _has_timeout_kwarg(call: ast.Call) -> bool:
-        """An explicit ``timeout=`` at the call site is its own arming."""
-        return any(kw.arg == "timeout" for kw in call.keywords)
+            for call, armed in hazards.armed_deadlines(_own_calls(unit)):
+                target = hazards.call_target(call, ctx.imports)
+                checked = hazards.blocking_kind(target) in (hazards.SOCKET_READ, hazards.DIAL)
+                if not checked or hazards.bounded(call, target, armed):
+                    continue
+                verb = target.rpartition(".")[2]
+                if verb == "create_connection":
+                    message = (
+                        "create_connection() without a timeout argument "
+                        "blocks indefinitely on an unreachable coordinator"
+                    )
+                else:
+                    message = (
+                        f".{verb}() with no timeout armed in this function; "
+                        "call settimeout(...) first so a dead peer cannot "
+                        "hang the campaign"
+                    )
+                yield self.finding(ctx, call, message)
 
 
-#: call names that dial a peer — the body of a reconnect loop
-_CONNECT_CALLS = frozenset({"connect", "connect_ex", "create_connection", "dial"})
+def _own_calls(unit: ast.AST) -> list[ast.Call]:
+    """Calls in this scope's body, excluding nested function bodies."""
+    calls: list[ast.Call] = []
+    stack: list[ast.AST] = list(getattr(unit, "body", []))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Call):
+            calls.append(node)
+        stack.extend(ast.iter_child_nodes(node))
+    return calls
 
 
 class UnboundedRetryRule(Rule):
@@ -202,62 +156,45 @@ class UnboundedRetryRule(Rule):
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.While) and _is_constant_true(node.test):
-                dialer = self._first_connect_call(node)
-                if dialer is not None:
+                targets = (hazards.call_target(c, ctx.imports) for c in _own_calls(node))
+                dials = [t for t in targets if hazards.blocking_kind(t) == hazards.DIAL]
+                if dials:
                     yield self.finding(
                         ctx,
                         node,
                         f"while-True loop redials via "
-                        f"{SocketTimeoutRule._method_name(dialer)}() with no "
+                        f"{dials[0].rpartition('.')[2]}() with no "
                         "attempt bound; use 'for attempt in range(...)' (or "
                         "RetryPolicy) so giving up is a visible outcome",
                     )
-            elif isinstance(node, ast.Call):
-                if SocketTimeoutRule._method_name(node) != "sleep" or not node.args:
-                    continue
-                if _uncapped_pow(node.args[0]):
-                    yield self.finding(
-                        ctx,
-                        node,
-                        "exponential backoff with no cap; wrap the delay in "
-                        "min(..., max_backoff) (RetryPolicy.delay does this) "
-                        "so retries stay responsive",
-                    )
-
-    @staticmethod
-    def _first_connect_call(loop: ast.While) -> ast.Call | None:
-        """First dialing call in the loop's own scope (not nested defs)."""
-        stack: list[ast.AST] = list(loop.body)
-        while stack:
-            node = stack.pop()
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                continue
-            if isinstance(node, ast.Call):
-                name = SocketTimeoutRule._method_name(node)
-                if name is not None and (
-                    name in _CONNECT_CALLS or "connect" in name
-                ):
-                    return node
-            stack.extend(ast.iter_child_nodes(node))
-        return None
-
-
-#: methods that park the calling thread until someone else acts
-_PARKING_METHODS = frozenset({"wait", "join", "acquire"})
+            elif (
+                isinstance(node, ast.Call)
+                and node.args
+                and _uncapped_pow(node.args[0])
+                and hazards.blocking_kind(hazards.call_target(node, ctx.imports))
+                == hazards.SLEEP
+            ):
+                yield self.finding(
+                    ctx,
+                    node,
+                    "exponential backoff with no cap; wrap the delay in "
+                    "min(..., max_backoff) (RetryPolicy.delay does this) "
+                    "so retries stay responsive",
+                )
 
 
 class BlockingHandlerRule(Rule):
     """RPR009: unbounded blocking in the ``repro.serve`` request path.
 
     The campaign service handles every request on an ``http.server``
-    thread. Three shapes are flagged anywhere in the package:
-    ``sleep(...)`` in any form (polling belongs on the client; the
-    server streams), and ``.wait()`` / ``.join()`` / ``.acquire()``
-    calls with no deadline — no positional timeout argument and either
-    no ``timeout=`` keyword or an explicit ``timeout=None``. Long waits
-    must be loops of bounded waits that re-check the drain flag, so a
-    SIGTERM is always observed; a handler parked forever on a campaign
-    that was checkpointed away never returns and leaks its thread.
+    thread. Two kinds of call are flagged anywhere in the package,
+    nested functions and module code included: a sleep in any form
+    (polling belongs on the client; the server streams), and a park
+    (``wait``/``join``/``acquire``) that the catalogue's bound rule
+    (``repro.analysis.hazards``) does not call bounded. Long waits must
+    be loops of bounded waits that re-check the drain flag, so a SIGTERM
+    is always observed; a handler parked forever on a campaign that was
+    checkpointed away never returns and leaks its thread.
     """
 
     rule_id = "RPR009"
@@ -273,8 +210,9 @@ class BlockingHandlerRule(Rule):
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
-            name = SocketTimeoutRule._method_name(node)
-            if name == "sleep":
+            target = hazards.call_target(node, ctx.imports)
+            kind = hazards.blocking_kind(target)
+            if kind == hazards.SLEEP:
                 yield self.finding(
                     ctx,
                     node,
@@ -282,24 +220,14 @@ class BlockingHandlerRule(Rule):
                     "results or loop on a bounded cond.wait(timeout=...) "
                     "that re-checks the drain flag",
                 )
-            elif name in _PARKING_METHODS and self._unbounded(node):
+            elif kind == hazards.PARK and not hazards.bounded(node, target):
                 yield self.finding(
                     ctx,
                     node,
-                    f".{name}() with no timeout parks this thread until "
-                    "someone else acts; pass timeout=... and re-check "
-                    "terminal/drain state in a loop",
+                    f".{target.rpartition('.')[2]}() with no timeout parks "
+                    "this thread until someone else acts; pass timeout=... "
+                    "and re-check terminal/drain state in a loop",
                 )
-
-    @staticmethod
-    def _unbounded(call: ast.Call) -> bool:
-        """No positional deadline and no (non-None) ``timeout=``."""
-        if call.args:
-            return False
-        for kw in call.keywords:
-            if kw.arg == "timeout":
-                return isinstance(kw.value, ast.Constant) and kw.value.value is None
-        return True
 
 
 def _is_constant_true(test: ast.expr) -> bool:

@@ -21,14 +21,9 @@ import ast
 from collections import deque
 from typing import Callable, Iterable, Iterator
 
+from .. import hazards
 from ..engine import Finding, ModelRuleLike
-from ..model import FunctionInfo, ProjectModel, dotted_name
-from .determinism import (
-    _DATETIME_FNS,
-    _NP_RANDOM_EXPLICIT,
-    _STDLIB_RANDOM_FNS,
-    _TIME_FNS,
-)
+from ..model import FunctionInfo, ProjectModel
 
 __all__ = ["TaintedRngRule", "TaintedClockRule"]
 
@@ -36,58 +31,17 @@ __all__ = ["TaintedRngRule", "TaintedClockRule"]
 MAX_TAINT_HOPS = 6
 
 
+def _imports(model: ProjectModel, fn: FunctionInfo) -> hazards.ImportTable:
+    return model.modules[fn.module].ctx.imports
+
+
 def _is_digest_sink(model: ProjectModel, fn: FunctionInfo) -> bool:
-    for node in ast.walk(fn.node):
-        if isinstance(node, ast.Call):
-            name = dotted_name(node.func)
-            if name is None:
-                continue
-            resolved = model.resolve_name(fn.module, name)
-            if resolved.startswith("hashlib."):
-                return True
-    return False
-
-
-def _clock_sources(
-    model: ProjectModel, fn: FunctionInfo
-) -> Iterator[tuple[int, int, str]]:
-    for node in ast.walk(fn.node):
-        if not isinstance(node, ast.Attribute):
-            continue
-        name = dotted_name(node)
-        if name is None:
-            continue
-        resolved = model.resolve_name(fn.module, name)
-        parts = resolved.split(".")
-        if parts[0] == "time" and len(parts) == 2 and parts[-1] in _TIME_FNS:
-            yield node.lineno, node.col_offset, resolved
-        elif parts[0] == "datetime" and parts[-1] in _DATETIME_FNS:
-            yield node.lineno, node.col_offset, resolved
-
-
-def _rng_sources(
-    model: ProjectModel, fn: FunctionInfo
-) -> Iterator[tuple[int, int, str]]:
-    for node in ast.walk(fn.node):
-        if not isinstance(node, ast.Call):
-            continue
-        name = dotted_name(node.func)
-        if name is None:
-            continue
-        resolved = model.resolve_name(fn.module, name)
-        parts = resolved.split(".")
-        if parts[0] == "random" and len(parts) == 2 and parts[-1] in _STDLIB_RANDOM_FNS:
-            yield node.lineno, node.col_offset, resolved
-        elif resolved.startswith("numpy.random.") and len(parts) == 3:
-            if parts[-1] == "default_rng":
-                if not node.args and not node.keywords:
-                    yield (
-                        node.lineno,
-                        node.col_offset,
-                        f"{resolved}() without a seed",
-                    )
-            elif parts[-1] not in _NP_RANDOM_EXPLICIT:
-                yield node.lineno, node.col_offset, resolved
+    imports = _imports(model, fn)
+    return any(
+        isinstance(node, ast.Call)
+        and hazards.is_digest(hazards.call_target(node, imports))
+        for node in ast.walk(fn.node)
+    )
 
 
 class _TaintRule(ModelRuleLike):
@@ -96,9 +50,13 @@ class _TaintRule(ModelRuleLike):
     noun = ""  #: human name of the source kind
 
     def sources(
-        self, model: ProjectModel, fn: FunctionInfo
-    ) -> Iterator[tuple[int, int, str]]:
+        self, fn: FunctionInfo, imports: hazards.ImportTable
+    ) -> Iterator[hazards.Site]:
         raise NotImplementedError
+
+    def describe(self, site: hazards.Site) -> str:
+        """The source as the finding names it: its resolved name."""
+        return site.target
 
     def check_model(self, model: ProjectModel) -> Iterable[Finding]:
         source_cache: dict[str, list[tuple[int, int, str]]] = {}
@@ -106,7 +64,10 @@ class _TaintRule(ModelRuleLike):
         def sources_of(qualname: str) -> list[tuple[int, int, str]]:
             if qualname not in source_cache:
                 fn = model.functions[qualname]
-                source_cache[qualname] = sorted(self.sources(model, fn))
+                source_cache[qualname] = sorted(
+                    (site.node.lineno, site.node.col_offset, self.describe(site))
+                    for site in self.sources(fn, _imports(model, fn))
+                )
             return source_cache[qualname]
 
         sinks = sorted(
@@ -173,9 +134,14 @@ class TaintedRngRule(_TaintRule):
     noun = "unseeded RNG draw"
 
     def sources(
-        self, model: ProjectModel, fn: FunctionInfo
-    ) -> Iterator[tuple[int, int, str]]:
-        return _rng_sources(model, fn)
+        self, fn: FunctionInfo, imports: hazards.ImportTable
+    ) -> Iterator[hazards.Site]:
+        return hazards.rng_draws(fn.node, imports)
+
+    def describe(self, site: hazards.Site) -> str:
+        if site.kind == hazards.UNSEEDED:
+            return f"{site.target}() without a seed"
+        return site.target
 
 
 class TaintedClockRule(_TaintRule):
@@ -190,6 +156,6 @@ class TaintedClockRule(_TaintRule):
     noun = "wall-clock read"
 
     def sources(
-        self, model: ProjectModel, fn: FunctionInfo
-    ) -> Iterator[tuple[int, int, str]]:
-        return _clock_sources(model, fn)
+        self, fn: FunctionInfo, imports: hazards.ImportTable
+    ) -> Iterator[hazards.Site]:
+        return hazards.clock_reads(fn.node, imports)

@@ -114,6 +114,11 @@ def _config_values(config: Any) -> dict[str, str]:
     return {k: repr(v) for k, v in sorted(config.as_dict().items())}
 
 
+def _guards(entry: dict[str, Any], config: Any, seed: int) -> bool:
+    """Whether ``entry`` was stored for this configuration and seed."""
+    return entry["config"] == _config_values(config) and int(entry["seed"]) == int(seed)
+
+
 class TrialCache:
     """Memoized trial outcomes, in memory and optionally on disk.
 
@@ -172,11 +177,7 @@ class TrialCache:
             entry = self._read_disk(key)
             if entry is not None:
                 self._memory[key] = entry
-        if (
-            entry is None
-            or entry["config"] != _config_values(config)
-            or int(entry["seed"]) != int(seed)
-        ):
+        if entry is None or not _guards(entry, config, seed):
             self.misses += 1
             return None
         self.hits += 1
@@ -188,7 +189,9 @@ class TrialCache:
         """Record one completed trial outcome under its content address.
 
         Returns False, storing nothing, for any other status and for
-        measurements JSON cannot hold.
+        measurements JSON cannot hold. A valid entry for the same key,
+        configuration and seed already on disk (another writer sharing
+        the directory stored it) is kept as it is, not written again.
         """
         if outcome.status != "completed":
             return False
@@ -206,6 +209,10 @@ class TrialCache:
             blob = json.dumps(entry)
         except (TypeError, ValueError):
             return False
+        stored = self._read_disk(key)
+        if stored is not None and _guards(stored, config, seed):
+            self._memory[key] = stored
+            return True
         self._memory[key] = entry
         if self.path is not None:
             _atomic_write(os.path.join(self.path, f"{key}.json"), blob)

@@ -2,8 +2,11 @@
 
 Three layers:
 
-* fixtures — every rule RPR001–RPR005 (plus RPR000) must fire on its
-  known-bad snippet and stay silent on the matching good example;
+* fixtures — every per-file rule RPR001–RPR005 and RPR007–RPR009 (plus
+  RPR000) must fire on its known-bad snippet and stay silent on the
+  matching good example; the ``hazards/`` fixtures hold the calls each
+  rule reads through the hazard catalogue (import-resolved names, the
+  one bound rule), including a taint-only RPR001 flow;
 * contracts — every cross-file contract rule RPR101–RPR106 must fire on
   the deliberately-drifted mini-tree and stay silent on the real repo;
 * self-check — ``repro lint src/`` over the actual codebase is clean
@@ -36,7 +39,7 @@ CONTRACTS_BAD = FIXTURES / "contracts_bad"
 
 
 def lint_file(relative: str):
-    engine = LintEngine()  # per-file rules only; contracts tested separately
+    engine = LintEngine()  # per-file and model rules; contracts tested separately
     return engine.run([FIXTURES / relative])
 
 
@@ -51,6 +54,12 @@ BAD_EXPECTATIONS = [
     ("net/rpr007_bad.py", "RPR007", 5),
     ("net/rpr008_bad.py", "RPR008", 3),
     ("serve/rpr009_bad.py", "RPR009", 4),
+    ("hazards/net/rpr007_bound_bad.py", "RPR007", 5),
+    ("hazards/serve/rpr009_bound_bad.py", "RPR009", 3),
+    ("hazards/rl/rpr001_import_bad.py", "RPR001", 3),
+    ("hazards/frameworks/rpr002_import_bad.py", "RPR002", 2),
+    ("hazards/core/rpr003_import_bad.py", "RPR003", 2),
+    ("hazards/other/taint_random_bad.py", "RPR001", 1),
 ]
 
 
@@ -75,6 +84,7 @@ def test_rule_fires_on_bad_fixture(relative, rule_id, n_expected):
         "net/rpr008_good.py",
         "serve/rpr009_good.py",
         "other/scoped_silent.py",
+        "hazards/serve/rpr009_nonblocking_good.py",
     ],
 )
 def test_rule_silent_on_good_fixture(relative):

@@ -41,6 +41,7 @@ from repro.exec import (
     TrialOutcome,
     TrialTask,
 )
+from repro.exec import cache as cache_module
 from repro.faults import WorkerKiller
 from repro.net import (
     MAX_FRAME_BYTES,
@@ -781,15 +782,25 @@ class TestOutcomeCache:
         edited = TrialCache(tmp_path, code_tag="deadbeefcafe")
         assert edited.lookup(self.KEY, self.config(), 0) is None
 
-    def test_worker_answers_warm_trials_from_shared_cache(self, tmp_path):
+    def test_worker_answers_warm_trials_from_shared_cache(self, tmp_path, monkeypatch):
         warm = tmp_path / "shared-cache"
+        writes = []
+        atomic_write = cache_module._atomic_write
+
+        def counting_write(target, blob):
+            writes.append(target)
+            atomic_write(target, blob)
+
+        monkeypatch.setattr(cache_module, "_atomic_write", counting_write)
         report1, agents1 = run_remote_campaign(
             n_workers=1, cache=TrialCache(warm), worker_kwargs={"cache": str(warm)}
         )
         assert sum(a.n_executed for a in agents1) == 8
         assert sum(a.n_cache_hits for a in agents1) == 0
-        # the campaign and the worker stored the same record per trial
+        # the campaign and the worker stored the same record per trial,
+        # and whichever came second found it on disk and wrote nothing
         assert len(list(warm.iterdir())) == 8
+        assert len(writes) == 8
         # a fresh campaign-side cache misses, but the worker's shared
         # store answers every trial without re-running env steps
         report2, agents2 = run_remote_campaign(
