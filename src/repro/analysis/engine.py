@@ -114,7 +114,8 @@ class FileContext:
     def imports(self) -> ImportTable:
         """The module-level import table, built once and shared by the
         per-file rules and the project model."""
-        return ImportTable.build(self.tree, self.module)
+        is_package = Path(self.path).stem == "__init__"
+        return ImportTable.build(self.tree, self.module, is_package=is_package)
 
 
 class Rule:

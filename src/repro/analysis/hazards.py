@@ -46,9 +46,11 @@ class ImportTable:
     bindings: dict[str, str]
 
     @classmethod
-    def build(cls, tree: ast.AST, module: str) -> "ImportTable":
+    def build(cls, tree: ast.AST, module: str, is_package: bool = False) -> "ImportTable":
         """``module`` is the file's dotted name, the anchor for relative
-        imports."""
+        imports; a package's ``__init__`` (``is_package``) anchors them at
+        the package itself, as its ``__package__`` does."""
+        anchor = f"{module}.__init__" if is_package else module
         modules: dict[str, str] = {}
         names: dict[str, str] = {}
         for stmt in tree.body if isinstance(tree, ast.Module) else []:
@@ -60,7 +62,7 @@ class ImportTable:
                         head = alias.name.split(".")[0]
                         modules[head] = head
             elif isinstance(stmt, ast.ImportFrom):
-                package = module.split(".")[: -stmt.level] if stmt.level else []
+                package = anchor.split(".")[: -stmt.level] if stmt.level else []
                 base = ".".join([*package, stmt.module] if stmt.module else package)
                 for alias in stmt.names:
                     if alias.name != "*":

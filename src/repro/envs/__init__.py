@@ -1,35 +1,17 @@
 """Gym-style environment substrate (spaces, Env API, registry, vector envs)."""
 
-from .env import ActionWrapper, Env, ObservationWrapper, RewardWrapper, Wrapper
+from .env import Env, Wrapper
 from .registry import EnvSpec, make, make_vec, register, registry, spec
-from .spaces import Box, Dict, Discrete, MultiDiscrete, Space, Tuple, flatdim, flatten, unflatten
+from .spaces import Box, Discrete, Space
 from .vector import EpisodeStats, SyncVectorEnv
-from .wrappers import (
-    ClipAction,
-    NormalizeObservation,
-    OrderEnforcing,
-    RecordEpisodeStatistics,
-    RescaleAction,
-    RunningMeanStd,
-    TimeLimit,
-    TransformReward,
-)
+from .wrappers import OrderEnforcing, TimeLimit
 
 __all__ = [
     "Env",
     "Wrapper",
-    "ObservationWrapper",
-    "ActionWrapper",
-    "RewardWrapper",
     "Space",
     "Box",
     "Discrete",
-    "MultiDiscrete",
-    "Tuple",
-    "Dict",
-    "flatdim",
-    "flatten",
-    "unflatten",
     "register",
     "make",
     "make_vec",
@@ -40,10 +22,4 @@ __all__ = [
     "EpisodeStats",
     "TimeLimit",
     "OrderEnforcing",
-    "RecordEpisodeStatistics",
-    "ClipAction",
-    "RescaleAction",
-    "NormalizeObservation",
-    "TransformReward",
-    "RunningMeanStd",
 ]

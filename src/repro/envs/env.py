@@ -17,7 +17,7 @@ import numpy as np
 
 from .spaces import Space
 
-__all__ = ["Env", "Wrapper", "ObservationWrapper", "ActionWrapper", "RewardWrapper"]
+__all__ = ["Env", "Wrapper"]
 
 ObsType = TypeVar("ObsType")
 ActType = TypeVar("ActType")
@@ -147,39 +147,3 @@ class Wrapper(Env[ObsType, ActType]):
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__}{self.env!r}>"
-
-
-class ObservationWrapper(Wrapper):
-    """Transforms observations via :meth:`observation`."""
-
-    def reset(self, **kwargs: Any):
-        obs, info = self.env.reset(**kwargs)
-        return self.observation(obs), info
-
-    def step(self, action: Any):
-        obs, reward, terminated, truncated, info = self.env.step(action)
-        return self.observation(obs), reward, terminated, truncated, info
-
-    def observation(self, observation: Any) -> Any:
-        raise NotImplementedError
-
-
-class ActionWrapper(Wrapper):
-    """Transforms actions via :meth:`action` before passing them down."""
-
-    def step(self, action: Any):
-        return self.env.step(self.action(action))
-
-    def action(self, action: Any) -> Any:
-        raise NotImplementedError
-
-
-class RewardWrapper(Wrapper):
-    """Transforms rewards via :meth:`reward`."""
-
-    def step(self, action: Any):
-        obs, reward, terminated, truncated, info = self.env.step(action)
-        return obs, self.reward(float(reward)), terminated, truncated, info
-
-    def reward(self, reward: float) -> float:
-        raise NotImplementedError

@@ -2,15 +2,13 @@
 
 The paper's case study is delivered "as a gym environment"; since the real
 gym library is a gated dependency we provide the minimal-but-faithful space
-algebra the methodology needs: membership tests, bounded sampling, seeding
-and (de)flattening for vectorized execution.
+algebra the methodology needs: membership tests, bounded sampling and
+seeding.
 
 Spaces intentionally mirror the classic ``gym.spaces`` semantics:
 
 * :class:`Box` — bounded/unbounded continuous tensors.
 * :class:`Discrete` — ``{start, ..., start + n - 1}``.
-* :class:`MultiDiscrete` — product of several Discrete axes.
-* :class:`Tuple` / :class:`Dict` — composite spaces.
 
 All sampling goes through an explicit :class:`numpy.random.Generator` so
 campaign runs are reproducible end to end.
@@ -18,23 +16,12 @@ campaign runs are reproducible end to end.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Sequence
 from typing import Any
 
 import numpy as np
 
-__all__ = [
-    "Space",
-    "Box",
-    "Discrete",
-    "MultiDiscrete",
-    "Tuple",
-    "Dict",
-    "flatdim",
-    "flatten",
-    "unflatten",
-]
+__all__ = ["Space", "Box", "Discrete"]
 
 
 class Space:
@@ -43,7 +30,7 @@ class Space:
     Parameters
     ----------
     shape:
-        The shape of elements of the space (``None`` for composite spaces).
+        The shape of elements of the space (``None`` when unset).
     dtype:
         The numpy dtype of elements of the space.
     seed:
@@ -63,7 +50,7 @@ class Space:
 
     @property
     def shape(self) -> tuple[int, ...] | None:
-        """Shape of space elements, or ``None`` for composite spaces."""
+        """Shape of space elements, or ``None`` when unset."""
         return self._shape
 
     @property
@@ -147,7 +134,7 @@ class Box(Space):
         return bool(np.all(arr >= self.low) and np.all(arr <= self.high))
 
     def clip(self, x: np.ndarray) -> np.ndarray:
-        """Clip ``x`` into the box (used by action-clipping wrappers)."""
+        """Clip ``x`` into the box."""
         return np.clip(np.asarray(x, dtype=self.dtype), self.low, self.high)
 
     def __repr__(self) -> str:
@@ -194,177 +181,3 @@ class Discrete(Space):
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Discrete) and self.n == other.n and self.start == other.start
-
-
-class MultiDiscrete(Space):
-    """A cartesian product of Discrete axes, e.g. ``MultiDiscrete([3, 2])``."""
-
-    def __init__(self, nvec: Iterable[int], seed: int | None = None) -> None:
-        nvec_arr = np.asarray(list(nvec), dtype=np.int64)
-        if nvec_arr.ndim != 1 or np.any(nvec_arr <= 0):
-            raise ValueError("nvec must be a 1-D sequence of positive ints")
-        super().__init__(shape=nvec_arr.shape, dtype=np.int64, seed=seed)
-        self.nvec = nvec_arr
-
-    def sample(self, rng: np.random.Generator | None = None) -> np.ndarray:
-        rng = rng or self._rng
-        return (rng.random(self.nvec.shape) * self.nvec).astype(np.int64)
-
-    def contains(self, x: Any) -> bool:
-        arr = np.asarray(x)
-        if arr.shape != self.shape or not np.issubdtype(arr.dtype, np.integer):
-            return False
-        return bool(np.all(arr >= 0) and np.all(arr < self.nvec))
-
-    def __repr__(self) -> str:
-        return f"MultiDiscrete({self.nvec.tolist()})"
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, MultiDiscrete) and np.array_equal(self.nvec, other.nvec)
-
-
-class Tuple(Space):
-    """A tuple (ordered product) of simpler spaces."""
-
-    def __init__(self, spaces: Sequence[Space], seed: int | None = None) -> None:
-        super().__init__(seed=seed)
-        self.spaces = tuple(spaces)
-        if not all(isinstance(s, Space) for s in self.spaces):
-            raise TypeError("all members of a Tuple space must be Space instances")
-
-    def seed(self, seed: int | None = None) -> list[int]:
-        seeds = super().seed(seed)
-        children = np.random.SeedSequence(seed).spawn(len(self.spaces))
-        for space, child in zip(self.spaces, children, strict=True):
-            space.seed(int(child.generate_state(1)[0]))
-        return seeds
-
-    def sample(self, rng: np.random.Generator | None = None) -> tuple:
-        rng = rng or self._rng
-        return tuple(space.sample(rng) for space in self.spaces)
-
-    def contains(self, x: Any) -> bool:
-        if not isinstance(x, (tuple, list)) or len(x) != len(self.spaces):
-            return False
-        return all(space.contains(part) for space, part in zip(self.spaces, x, strict=True))
-
-    def __len__(self) -> int:
-        return len(self.spaces)
-
-    def __getitem__(self, index: int) -> Space:
-        return self.spaces[index]
-
-    def __repr__(self) -> str:
-        return f"Tuple({', '.join(repr(s) for s in self.spaces)})"
-
-
-class Dict(Space):
-    """A dictionary (named product) of simpler spaces with stable key order."""
-
-    def __init__(self, spaces: Mapping[str, Space], seed: int | None = None) -> None:
-        super().__init__(seed=seed)
-        self.spaces = OrderedDict(sorted(spaces.items()))
-        if not all(isinstance(s, Space) for s in self.spaces.values()):
-            raise TypeError("all members of a Dict space must be Space instances")
-
-    def seed(self, seed: int | None = None) -> list[int]:
-        seeds = super().seed(seed)
-        children = np.random.SeedSequence(seed).spawn(len(self.spaces))
-        for space, child in zip(self.spaces.values(), children, strict=True):
-            space.seed(int(child.generate_state(1)[0]))
-        return seeds
-
-    def sample(self, rng: np.random.Generator | None = None) -> OrderedDict:
-        rng = rng or self._rng
-        return OrderedDict((key, space.sample(rng)) for key, space in self.spaces.items())
-
-    def contains(self, x: Any) -> bool:
-        if not isinstance(x, Mapping) or set(x.keys()) != set(self.spaces.keys()):
-            return False
-        return all(space.contains(x[key]) for key, space in self.spaces.items())
-
-    def __getitem__(self, key: str) -> Space:
-        return self.spaces[key]
-
-    def keys(self):
-        return self.spaces.keys()
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{k}: {v!r}" for k, v in self.spaces.items())
-        return f"Dict({inner})"
-
-
-def flatdim(space: Space) -> int:
-    """Number of scalars in a flattened element of ``space``."""
-    if isinstance(space, Box):
-        return int(np.prod(space.shape, dtype=int)) if space.shape else 1
-    if isinstance(space, Discrete):
-        return space.n
-    if isinstance(space, MultiDiscrete):
-        return int(space.nvec.sum())
-    if isinstance(space, Tuple):
-        # repro-lint: disable=RPR004 -- integer dimension count, no float rounding involved
-        return sum(flatdim(s) for s in space.spaces)
-    if isinstance(space, Dict):
-        # repro-lint: disable=RPR004 -- integer dimension count, no float rounding involved
-        return sum(flatdim(s) for s in space.spaces.values())
-    raise TypeError(f"cannot flatten space of type {type(space).__name__}")
-
-
-def flatten(space: Space, x: Any) -> np.ndarray:
-    """Flatten an element ``x`` of ``space`` into a 1-D float array.
-
-    Discrete values are one-hot encoded so the result is suitable as a
-    network input.
-    """
-    if isinstance(space, Box):
-        return np.asarray(x, dtype=np.float64).ravel()
-    if isinstance(space, Discrete):
-        onehot = np.zeros(space.n, dtype=np.float64)
-        onehot[int(x) - space.start] = 1.0
-        return onehot
-    if isinstance(space, MultiDiscrete):
-        out = np.zeros(int(space.nvec.sum()), dtype=np.float64)
-        offset = 0
-        for value, n in zip(np.asarray(x).ravel(), space.nvec, strict=True):
-            out[offset + int(value)] = 1.0
-            offset += int(n)
-        return out
-    if isinstance(space, Tuple):
-        return np.concatenate([flatten(s, part) for s, part in zip(space.spaces, x, strict=True)])
-    if isinstance(space, Dict):
-        return np.concatenate([flatten(s, x[key]) for key, s in space.spaces.items()])
-    raise TypeError(f"cannot flatten space of type {type(space).__name__}")
-
-
-def unflatten(space: Space, flat: np.ndarray) -> Any:
-    """Inverse of :func:`flatten`."""
-    flat = np.asarray(flat, dtype=np.float64)
-    if isinstance(space, Box):
-        return flat.reshape(space.shape).astype(space.dtype)
-    if isinstance(space, Discrete):
-        return int(np.argmax(flat)) + space.start
-    if isinstance(space, MultiDiscrete):
-        values = []
-        offset = 0
-        for n in space.nvec:
-            values.append(int(np.argmax(flat[offset : offset + int(n)])))
-            offset += int(n)
-        return np.asarray(values, dtype=np.int64)
-    if isinstance(space, Tuple):
-        parts = []
-        offset = 0
-        for s in space.spaces:
-            dim = flatdim(s)
-            parts.append(unflatten(s, flat[offset : offset + dim]))
-            offset += dim
-        return tuple(parts)
-    if isinstance(space, Dict):
-        parts: OrderedDict[str, Any] = OrderedDict()
-        offset = 0
-        for key, s in space.spaces.items():
-            dim = flatdim(s)
-            parts[key] = unflatten(s, flat[offset : offset + dim])
-            offset += dim
-        return parts
-    raise TypeError(f"cannot unflatten space of type {type(space).__name__}")

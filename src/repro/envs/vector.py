@@ -18,7 +18,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from .env import Env
-from .spaces import Box, Discrete, Space
+from .spaces import Space
 
 __all__ = ["SyncVectorEnv", "EpisodeStats"]
 
@@ -137,15 +137,6 @@ class SyncVectorEnv:
             np.array(truncations, dtype=bool),
             infos,
         )
-
-    def sample_actions(self, rng: np.random.Generator | None = None) -> np.ndarray:
-        """Batch of random actions, one per sub-env (useful for warmup)."""
-        actions = [self.single_action_space.sample(rng) for _ in range(self.num_envs)]
-        if isinstance(self.single_action_space, (Box,)):
-            return np.stack(actions)
-        if isinstance(self.single_action_space, Discrete):
-            return np.asarray(actions, dtype=np.int64)
-        return np.asarray(actions, dtype=object)
 
     def close(self) -> None:
         for env in self.envs:

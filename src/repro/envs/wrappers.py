@@ -1,30 +1,20 @@
-"""Standard environment wrappers.
+"""The two wrappers :func:`~repro.envs.registry.make` applies.
 
-These mirror the battle-tested gym wrappers the three framework back-ends
-rely on: episode-horizon truncation, episode statistics, action clipping,
-observation normalization and reward scaling.
+:class:`TimeLimit` cuts episodes at a registered horizon and
+:class:`OrderEnforcing` refuses a ``step`` before the first ``reset``.
+Nothing else wraps an environment:
+:class:`~repro.envs.vector.SyncVectorEnv` records episode returns and
+lengths, and the framework layer maps the policy's unit-scaled actions
+onto an env's bounds.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Any
 
-import numpy as np
+from .env import Env, Wrapper
 
-from .env import ActionWrapper, Env, ObservationWrapper, RewardWrapper, Wrapper
-from .spaces import Box
-
-__all__ = [
-    "TimeLimit",
-    "OrderEnforcing",
-    "RecordEpisodeStatistics",
-    "ClipAction",
-    "RescaleAction",
-    "NormalizeObservation",
-    "TransformReward",
-    "RunningMeanStd",
-]
+__all__ = ["TimeLimit", "OrderEnforcing"]
 
 
 class TimeLimit(Wrapper):
@@ -72,133 +62,3 @@ class OrderEnforcing(Wrapper):
         if not self._has_reset:
             raise RuntimeError("cannot call step() before reset()")
         return self.env.step(action)
-
-
-class RecordEpisodeStatistics(Wrapper):
-    """Accumulate per-episode return/length and expose them in ``info``.
-
-    On the step that ends an episode (terminated or truncated) the wrapper
-    adds ``info['episode'] = {'r': return, 'l': length}`` — the hook the
-    Reward evaluation metric consumes.
-    """
-
-    def __init__(self, env: Env) -> None:
-        super().__init__(env)
-        self._return = 0.0
-        self._length = 0
-        self.episode_returns: list[float] = []
-        self.episode_lengths: list[int] = []
-
-    def reset(self, **kwargs: Any):
-        self._return = 0.0
-        self._length = 0
-        return self.env.reset(**kwargs)
-
-    def step(self, action: Any):
-        obs, reward, terminated, truncated, info = self.env.step(action)
-        self._return += float(reward)
-        self._length += 1
-        if terminated or truncated:
-            episode = {"r": self._return, "l": self._length}
-            info = dict(info)
-            info["episode"] = episode
-            self.episode_returns.append(self._return)
-            self.episode_lengths.append(self._length)
-        return obs, reward, terminated, truncated, info
-
-
-class ClipAction(ActionWrapper):
-    """Clip continuous actions into the env's Box action space."""
-
-    def __init__(self, env: Env) -> None:
-        super().__init__(env)
-        if not isinstance(env.action_space, Box):
-            raise TypeError("ClipAction requires a Box action space")
-
-    def action(self, action: Any) -> np.ndarray:
-        return self.env.action_space.clip(np.asarray(action))
-
-
-class RescaleAction(ActionWrapper):
-    """Affinely rescale actions from ``[low, high]`` onto the env's Box bounds."""
-
-    def __init__(self, env: Env, low: float = -1.0, high: float = 1.0) -> None:
-        super().__init__(env)
-        if not isinstance(env.action_space, Box):
-            raise TypeError("RescaleAction requires a Box action space")
-        if not low < high:
-            raise ValueError("requires low < high")
-        self.low = float(low)
-        self.high = float(high)
-        inner = env.action_space
-        self.action_space = Box(low=low, high=high, shape=inner.shape, dtype=inner.dtype)
-
-    def action(self, action: Any) -> np.ndarray:
-        inner = self.env.action_space
-        action = np.clip(np.asarray(action, dtype=float), self.low, self.high)
-        frac = (action - self.low) / (self.high - self.low)
-        return (inner.low + frac * (inner.high - inner.low)).astype(inner.dtype)
-
-
-class RunningMeanStd:
-    """Numerically-stable streaming mean/variance (Welford, batched)."""
-
-    def __init__(self, shape: tuple[int, ...] = (), epsilon: float = 1e-4) -> None:
-        self.mean = np.zeros(shape, dtype=np.float64)
-        self.var = np.ones(shape, dtype=np.float64)
-        self.count = float(epsilon)
-
-    def update(self, batch: np.ndarray) -> None:
-        batch = np.asarray(batch, dtype=np.float64)
-        if batch.ndim == len(self.mean.shape):
-            batch = batch[None]
-        batch_mean = batch.mean(axis=0)
-        batch_var = batch.var(axis=0)
-        batch_count = batch.shape[0]
-
-        delta = batch_mean - self.mean
-        total = self.count + batch_count
-        self.mean = self.mean + delta * batch_count / total
-        m_a = self.var * self.count
-        m_b = batch_var * batch_count
-        m2 = m_a + m_b + delta**2 * self.count * batch_count / total
-        self.var = m2 / total
-        self.count = total
-
-    @property
-    def std(self) -> np.ndarray:
-        return np.sqrt(self.var)
-
-
-class NormalizeObservation(ObservationWrapper):
-    """Standardize observations with running statistics (optionally frozen)."""
-
-    def __init__(self, env: Env, epsilon: float = 1e-8) -> None:
-        super().__init__(env)
-        if not isinstance(env.observation_space, Box):
-            raise TypeError("NormalizeObservation requires a Box observation space")
-        self.obs_rms = RunningMeanStd(shape=env.observation_space.shape)
-        self.epsilon = float(epsilon)
-        self.training = True
-
-    def observation(self, observation: Any) -> np.ndarray:
-        observation = np.asarray(observation, dtype=np.float64)
-        if self.training:
-            self.obs_rms.update(observation)
-        return (observation - self.obs_rms.mean) / np.sqrt(self.obs_rms.var + self.epsilon)
-
-
-class TransformReward(RewardWrapper):
-    """Apply an arbitrary callable to every reward (e.g. scaling, clipping)."""
-
-    def __init__(self, env: Env, fn) -> None:
-        super().__init__(env)
-        if not callable(fn):
-            raise TypeError("fn must be callable")
-        self.fn = fn
-
-    def reward(self, reward: float) -> float:
-        out = float(self.fn(reward))
-        if math.isnan(out):
-            raise ValueError("reward transform produced NaN")
-        return out

@@ -205,11 +205,21 @@ class FaultPlan(PlanCodec):
     ) -> "FaultPlan":
         """A seeded random-but-reproducible plan over ``horizon_s``.
 
-        ``intensity`` scales how much breaks: 1.0 gives one crash (with
-        restart), one straggler window and one link degradation; higher
-        values add more of each plus probabilistic task failures. The
-        generator uses only hash arithmetic, so the same arguments always
-        produce the same plan on every platform.
+        ``intensity`` sets how many events of each kind are drawn:
+        ``max(1, round(intensity))`` crashes (with restart), straggler
+        windows and link degradations. So:
+
+        * every intensity below 1.5 gives the same events, one of each;
+        * ``round`` goes half to even (2.5 draws two of each);
+        * a crash that overlaps an earlier one on its node is dropped,
+          so a plan can hold fewer crashes than were drawn;
+        * no event grows harsher: each event's times and factors come
+          from its own seeded hash, whatever the intensity;
+        * only the task-failure rate scales, from 2.0 on, at
+          ``min(0.2, 0.02 * intensity)``.
+
+        The generator uses only hash arithmetic, so the same arguments
+        always produce the same plan on every platform.
         """
         if n_nodes < 1:
             raise ValueError("n_nodes must be >= 1")

@@ -1,4 +1,5 @@
-"""Reinforcement-learning substrate: networks, PPO and SAC from scratch."""
+"""Reinforcement-learning substrate from scratch: networks, one actor-critic
+for PPO and V-trace, and SAC."""
 
 from .agent import Agent
 from .buffers import ReplayBuffer, RolloutBatch, RolloutBuffer, Transition, compute_gae

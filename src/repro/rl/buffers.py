@@ -252,18 +252,6 @@ class ReplayBuffer:
         self._pos = (self._pos + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)
 
-    def add_batch(
-        self,
-        obs: np.ndarray,
-        actions: np.ndarray,
-        rewards: np.ndarray,
-        next_obs: np.ndarray,
-        terminations: np.ndarray,
-    ) -> None:
-        """Vectorized insertion of ``N`` transitions."""
-        for i in range(len(obs)):
-            self.add(obs[i], actions[i], float(rewards[i]), next_obs[i], bool(terminations[i]))
-
     def sample(self, batch_size: int, rng: np.random.Generator) -> Transition:
         if self._size == 0:
             raise RuntimeError("cannot sample from an empty replay buffer")

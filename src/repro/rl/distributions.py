@@ -67,11 +67,6 @@ class DiagGaussian:
         z = (actions - self.mean) / self.std
         return z * z - 1.0
 
-    @staticmethod
-    def dentropy_dlogstd(shape: tuple[int, ...]) -> np.ndarray:
-        """``∂ H / ∂ log_std`` is exactly 1 per dimension."""
-        return np.ones(shape)
-
 
 class TanhGaussian:
     """Tanh-squashed Gaussian used by SAC.

@@ -15,9 +15,10 @@ import math
 
 import numpy as np
 
+from .nn import clip_grad_norm
 from .optim import Optimizer
 
-__all__ = ["DivergenceError", "check_finite_update"]
+__all__ = ["DivergenceError", "check_finite_update", "guarded_step"]
 
 
 class DivergenceError(RuntimeError):
@@ -86,3 +87,23 @@ def check_finite_update(
     if not math.isfinite(total):
         raise DivergenceError(algorithm, n_updates, "grad_norm", total)
     return float(np.sqrt(total))
+
+
+def guarded_step(
+    algorithm: str,
+    n_updates: int,
+    losses: dict[str, float],
+    optimizer: Optimizer,
+    max_grad_norm: float,
+) -> float:
+    """Apply the gradients a backward pass left in ``optimizer``'s parameters.
+
+    :func:`check_finite_update` first, then the gradients are clipped to
+    ``max_grad_norm`` by the norm it returns, then ``optimizer`` steps.
+    Every learner applies its gradients this way. Returns the pre-clip
+    norm.
+    """
+    grad_norm = check_finite_update(algorithm, n_updates, losses, optimizer)
+    clip_grad_norm(optimizer.params, max_grad_norm, grad_norm)
+    optimizer.step()
+    return grad_norm

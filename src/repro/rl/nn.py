@@ -437,9 +437,6 @@ class MLP:
     def zero_grad(self) -> None:
         self._flat.grad.fill(0.0)
 
-    def n_parameters(self) -> int:
-        return int(self._flat.value.size)
-
     # --------------------------------------------------------- state (de)ser
     def state_dict(self) -> dict[str, np.ndarray]:
         """Copies of all parameter arrays, keyed by parameter name."""

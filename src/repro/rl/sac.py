@@ -25,8 +25,8 @@ import numpy as np
 from .agent import Agent
 from .buffers import ReplayBuffer, Transition
 from .distributions import LOG_STD_MAX, LOG_STD_MIN, TanhGaussian
-from .errors import check_finite_update
-from .nn import MLP, Parameter, ParameterStore, clip_grad_norm
+from .errors import guarded_step
+from .nn import MLP, Parameter, ParameterStore
 from .optim import Adam
 
 __all__ = ["SACConfig", "SACAgent"]
@@ -239,9 +239,7 @@ class SACAgent(Agent):
         self.q_optimizer.zero_grad()
         self.q1.backward(dq1, input_grad=False)
         self.q2.backward(dq2, input_grad=False)
-        grad_norm = check_finite_update("sac", self.n_updates, {"q_loss": q_loss}, self.q_optimizer)
-        clip_grad_norm(self.q_optimizer.params, cfg.max_grad_norm, grad_norm)
-        self.q_optimizer.step()
+        guarded_step("sac", self.n_updates, {"q_loss": q_loss}, self.q_optimizer, cfg.max_grad_norm)
 
         # ---- actor update (reparameterized)
         raw = self.policy.forward(obs)
@@ -270,11 +268,10 @@ class SACAgent(Agent):
         dlog_std = np.where(active, dlog_std, 0.0)
         self.policy_optimizer.zero_grad()
         self.policy.backward(np.concatenate([dmean, dlog_std], axis=-1), input_grad=False)
-        grad_norm = check_finite_update(
-            "sac", self.n_updates, {"policy_loss": policy_loss}, self.policy_optimizer
+        guarded_step(
+            "sac", self.n_updates, {"policy_loss": policy_loss}, self.policy_optimizer,
+            cfg.max_grad_norm,
         )
-        clip_grad_norm(self.policy_optimizer.params, cfg.max_grad_norm, grad_norm)
-        self.policy_optimizer.step()
 
         # ---- temperature update
         entropy = float(-logp.mean())

@@ -14,22 +14,20 @@ resulting off-policy-ness with truncated importance sampling:
 The policy gradient uses ``ρ_t (r_t + γ v_{t+1} − V(x_t))`` as its
 advantage; the value function regresses onto the ``v_t`` targets.
 
-:class:`VTraceAgent` packages an actor-critic trained this way with a
-single optimization pass per batch (IMPALA performs one SGD step per
+:class:`VTraceAgent` trains the shared
+:class:`~repro.rl.actor_critic.ActorCritic` (the networks, Gaussian head,
+acting, snapshots and divergence guard PPO uses) this way, with a single
+optimization pass per batch (IMPALA performs one SGD step per
 trajectory batch, unlike PPO's epochs).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 
-from .agent import Agent
-from .distributions import DiagGaussian
-from .nn import MLP, ParameterStore, clip_grad_norm
-from .optim import Adam
+from .actor_critic import ActorCritic
 
 __all__ = ["vtrace_returns", "VTraceConfig", "VTraceAgent"]
 
@@ -96,8 +94,10 @@ class VTraceConfig:
     initial_log_std: float = 0.0
 
 
-class VTraceAgent(Agent):
+class VTraceAgent(ActorCritic):
     """Continuous-control actor-critic trained with V-trace targets."""
+
+    config: VTraceConfig
 
     def __init__(
         self,
@@ -106,57 +106,8 @@ class VTraceAgent(Agent):
         config: VTraceConfig | None = None,
         seed: int | None = None,
     ) -> None:
-        self.obs_dim = int(obs_dim)
-        self.act_dim = int(act_dim)
-        self.config = config or VTraceConfig()
-        self.rng = np.random.default_rng(seed)
-        cfg = self.config
-        actor_sizes = (obs_dim, *cfg.hidden_sizes, act_dim)
-        critic_sizes = (obs_dim, *cfg.hidden_sizes, 1)
-        # one store in optimizer order: actor, log_std, critic
-        store = ParameterStore(MLP.size_of(actor_sizes) + act_dim + MLP.size_of(critic_sizes))
-        self.actor = MLP(
-            actor_sizes,
-            rng=self.rng,
-            activation=cfg.activation,
-            out_gain=0.01,
-            name="actor",
-            store=store,
-        )
-        self.log_std = store.take("actor.log_std", np.full(act_dim, cfg.initial_log_std))
-        self.critic = MLP(
-            critic_sizes,
-            rng=self.rng,
-            activation=cfg.activation,
-            out_gain=1.0,
-            name="critic",
-            store=store,
-        )
-        self._params = self.actor.parameters() + [self.log_std] + self.critic.parameters()
-        self.optimizer = Adam(self._params, lr=cfg.learning_rate)
-        self._metrics: dict[str, Any] = {}
-        self.n_updates = 0
+        super().__init__(obs_dim, act_dim, config or VTraceConfig(), seed)
 
-    # ----------------------------------------------------------------- act
-    def act(
-        self, observations: np.ndarray, deterministic: bool = False
-    ) -> dict[str, np.ndarray]:
-        observations = np.atleast_2d(np.asarray(observations, dtype=np.float64))
-        # deterministic rows never depend on what else shares the batch
-        forward = MLP.forward_rows if deterministic else MLP.forward
-        dist = DiagGaussian(forward(self.actor, observations), self.log_std.value)
-        actions = dist.mode() if deterministic else dist.sample(self.rng)
-        return {
-            "action": actions,
-            "log_prob": dist.log_prob(actions),
-            "value": forward(self.critic, observations)[:, 0],
-        }
-
-    def value(self, observations: np.ndarray) -> np.ndarray:
-        observations = np.atleast_2d(np.asarray(observations, dtype=np.float64))
-        return self.critic.forward(observations)[:, 0]
-
-    # -------------------------------------------------------------- update
     def update(
         self,
         observations: np.ndarray,
@@ -169,76 +120,40 @@ class VTraceAgent(Agent):
         """One V-trace gradient step over a ``(T, N, ...)`` trajectory batch."""
         cfg = self.config
         T, N = rewards.shape
-        flat_obs = observations.reshape(T * N, self.obs_dim)
-        flat_actions = actions.reshape(T * N, self.act_dim)
+        n = T * N
+        flat_obs = observations.reshape(n, self.obs_dim)
+        flat_actions = actions.reshape(n, self.act_dim)
 
-        mean = self.actor.forward(flat_obs)
-        dist = DiagGaussian(mean, self.log_std.value)
+        dist = self.head.distribution(self.actor.forward(flat_obs))
         target_log_probs = dist.log_prob(flat_actions).reshape(T, N)
-        values = self.critic.forward(flat_obs)[:, 0].reshape(T, N)
+        # the bootstrap pass first, so the critic's backward reads the batch's caches
         bootstrap_value = self.critic.forward(bootstrap_obs)[:, 0]
-
+        values = self.critic.forward(flat_obs)[:, 0]
         vs, pg_adv = vtrace_returns(
             rewards,
-            values,
+            values.reshape(T, N),
             bootstrap_value,
             behaviour_log_probs,
-            target_log_probs.copy(),
+            target_log_probs,
             terminations,
             gamma=cfg.gamma,
             rho_bar=cfg.rho_bar,
             c_bar=cfg.c_bar,
         )
 
-        n = T * N
-        flat_adv = pg_adv.reshape(n)
-        flat_vs = vs.reshape(n)
-        flat_values = values.reshape(n)
-
         # policy loss: -E[adv * log pi]; vs/adv treated as constants
-        dl_dlogp = -flat_adv / n
-        dmean = dl_dlogp[:, None] * dist.dlogp_dmean(flat_actions)
-        dlog_std = (dl_dlogp[:, None] * dist.dlogp_dlogstd(flat_actions)).sum(axis=0)
-        dlog_std += -cfg.ent_coef * np.ones(self.act_dim)
-        dvalues = cfg.vf_coef * (flat_values - flat_vs)[:, None] / n
-
-        self.actor.zero_grad()
-        self.critic.zero_grad()
-        self.log_std.zero_grad()
-        # one combined backward per network (bootstrap critic pass was a
-        # separate forward; re-run the flat forward so caches align)
-        self.critic.forward(flat_obs)
-        self.actor.backward(dmean)
-        self.critic.backward(dvalues)
-        self.log_std.grad += dlog_std
-        grad_norm = clip_grad_norm(self._params, cfg.max_grad_norm)
-        self.optimizer.step()
-        self.n_updates += 1
-
-        entropy = float(dist.entropy().mean())
+        flat_adv = pg_adv.reshape(n)
         policy_loss = float(-(flat_adv * target_log_probs.reshape(n)).mean())
-        value_loss = float(0.5 * np.mean((flat_values - flat_vs) ** 2))
-        rho_mean = float(np.exp(target_log_probs - behaviour_log_probs).mean())
+        self._backward_policy(dist, flat_actions, -flat_adv / n)
+        value_loss = self._backward_value(values, vs.reshape(n))
+        grad_norm = self._step("vtrace", {"policy_loss": policy_loss, "value_loss": value_loss})
+
         self._metrics = {
             "policy_loss": policy_loss,
             "value_loss": value_loss,
-            "entropy": entropy,
-            "mean_is_ratio": rho_mean,
-            "grad_norm": float(grad_norm),
+            # read after the step: the distribution shares log_std's storage
+            "entropy": float(dist.entropy().mean()),
+            "mean_is_ratio": float(np.exp(target_log_probs - behaviour_log_probs).mean()),
+            "grad_norm": grad_norm,
         }
-        return dict(self._metrics)
-
-    # ------------------------------------------------------------ snapshot
-    def policy_state(self) -> dict[str, np.ndarray]:
-        state = self.actor.state_dict()
-        state["actor.log_std"] = self.log_std.value.copy()
-        state.update(self.critic.state_dict())
-        return state
-
-    def load_policy_state(self, state: dict[str, np.ndarray]) -> None:
-        self.actor.load_state_dict(state)
-        self.critic.load_state_dict(state)
-        self.log_std.value[...] = state["actor.log_std"]
-
-    def metrics(self) -> dict[str, Any]:
         return dict(self._metrics)

@@ -205,14 +205,6 @@ class TestReplayBuffer:
         assert buf.terminations[0] == 1.0
         assert buf.terminations[1] == 0.0
 
-    def test_add_batch(self, rng):
-        buf = ReplayBuffer(16, 2, 1)
-        buf.add_batch(
-            np.zeros((5, 2)), np.zeros((5, 1)), np.arange(5.0), np.ones((5, 2)),
-            np.zeros(5, dtype=bool),
-        )
-        assert len(buf) == 5
-
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
             ReplayBuffer(0, 1, 1)

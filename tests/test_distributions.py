@@ -67,9 +67,6 @@ class TestDiagGaussian:
             num = (lp_up - lp_down) / (2 * eps)
             assert np.allclose(analytic[:, j], num, atol=1e-5)
 
-    def test_dentropy_dlogstd_is_one(self):
-        assert np.all(DiagGaussian.dentropy_dlogstd((4, 2)) == 1.0)
-
 
 class TestTanhGaussian:
     def test_actions_bounded(self, rng):

@@ -7,15 +7,9 @@ import pytest
 
 from repro.envs import (
     Box,
-    ClipAction,
     Env,
-    NormalizeObservation,
     OrderEnforcing,
-    RecordEpisodeStatistics,
-    RescaleAction,
-    RunningMeanStd,
     TimeLimit,
-    TransformReward,
     Wrapper,
     make,
     register,
@@ -109,109 +103,6 @@ class TestOrderEnforcing:
             env.step(np.zeros(1))
         env.reset()
         env.step(np.zeros(1))
-
-
-class TestRecordEpisodeStatistics:
-    def test_accumulates_episode(self):
-        env = RecordEpisodeStatistics(CountingEnv(horizon=4))
-        env.reset()
-        info = {}
-        for _ in range(4):
-            _, _, term, trunc, info = env.step(np.zeros(1))
-        assert info["episode"] == {"r": 4.0, "l": 4}
-        assert env.episode_returns == [4.0]
-
-
-class TestActionWrappers:
-    def test_clip_action(self):
-        env = ClipAction(CountingEnv())
-        env.reset()
-        env.step(np.array([10.0]))  # must not raise; clipped internally
-
-    def test_clip_requires_box(self):
-        class DiscreteActEnv(CountingEnv):
-            def __init__(self):
-                super().__init__()
-                from repro.envs import Discrete
-
-                self.action_space = Discrete(2)
-
-        with pytest.raises(TypeError):
-            ClipAction(DiscreteActEnv())
-
-    def test_rescale_action_maps_range(self):
-        class EchoEnv(CountingEnv):
-            def step(self, action):
-                self.last_action = np.asarray(action).copy()
-                return super().step(action)
-
-        inner = EchoEnv()
-        env = RescaleAction(inner, low=0.0, high=1.0)
-        env.reset()
-        env.step(np.array([1.0]))
-        assert np.allclose(inner.last_action, [1.0])
-        env.step(np.array([0.0]))
-        assert np.allclose(inner.last_action, [-1.0])
-        env.step(np.array([0.5]))
-        assert np.allclose(inner.last_action, [0.0])
-
-
-class TestRunningMeanStd:
-    def test_matches_numpy_statistics(self, rng):
-        data = rng.standard_normal((500, 3)) * 2.5 + 1.0
-        rms = RunningMeanStd(shape=(3,))
-        for chunk in np.array_split(data, 10):
-            rms.update(chunk)
-        assert np.allclose(rms.mean, data.mean(axis=0), atol=1e-2)
-        assert np.allclose(rms.var, data.var(axis=0), atol=5e-2)
-
-    def test_single_sample_update(self):
-        rms = RunningMeanStd(shape=(2,))
-        rms.update(np.array([1.0, 2.0]))
-        assert rms.mean.shape == (2,)
-
-
-class TestNormalizeObservation:
-    def test_outputs_standardized(self, rng):
-        class NoisyEnv(CountingEnv):
-            def step(self, action):
-                obs, r, term, trunc, info = super().step(action)
-                return self.np_random.normal(5.0, 3.0, size=1), r, term, trunc, info
-
-        env = NormalizeObservation(NoisyEnv(horizon=10_000))
-        env.reset(seed=0)
-        outs = []
-        for _ in range(800):
-            obs, _, term, _, _ = env.step(np.zeros(1))
-            outs.append(obs)
-        arr = np.array(outs[-300:])
-        assert abs(arr.mean()) < 0.3
-        assert abs(arr.std() - 1.0) < 0.3
-
-    def test_training_flag_freezes_statistics(self):
-        env = NormalizeObservation(CountingEnv(horizon=100))
-        env.reset()
-        for _ in range(10):
-            env.step(np.zeros(1))
-        env.training = False
-        frozen_mean = env.obs_rms.mean.copy()
-        for _ in range(10):
-            env.step(np.zeros(1))
-        assert np.allclose(env.obs_rms.mean, frozen_mean)
-
-
-class TestTransformReward:
-    def test_applies_function(self):
-        env = TransformReward(CountingEnv(), lambda r: 2 * r)
-        env.reset()
-        _, r, _, _, _ = env.step(np.zeros(1))
-        assert r == 2.0
-
-    def test_nan_rejected(self):
-        env = TransformReward(CountingEnv(), lambda r: float("nan"))
-        env.reset()
-        with pytest.raises(ValueError):
-            env.step(np.zeros(1))
 
 
 class TestRegistry:

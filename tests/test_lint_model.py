@@ -45,6 +45,7 @@ from repro.cli import main
 FIXTURES = Path(__file__).parent / "lint_fixtures"
 CONCURRENCY = FIXTURES / "concurrency"
 TAINTPKG = FIXTURES / "taintpkg"
+INITPKG = FIXTURES / "initpkg"
 CONTRACTS_BAD = FIXTURES / "contracts_bad"
 
 
@@ -127,6 +128,18 @@ def test_taint_rules_catch_the_cross_file_flow_with_traces():
         assert len(finding.trace) == 3, finding.trace
         assert finding.trace[0].endswith("cache_key")
         assert "digest sink" in finding.message
+
+
+def test_package_init_anchors_relative_imports_at_the_package():
+    init = INITPKG / "keys" / "__init__.py"
+    source = init.read_text()
+    ctx = FileContext(path=str(init), source=source, tree=ast.parse(source), parts=init.parts)
+    assert ctx.module == "initpkg.keys"
+    assert ctx.imports.resolve("jitter") == "initpkg.keys.entropy.jitter"
+    (finding,) = LintEngine().run([INITPKG]).active()
+    assert finding.rule == "RPR001"
+    assert finding.path.endswith("entropy.py")
+    assert finding.trace == ("initpkg.keys.cache_key", "initpkg.keys.entropy.jitter")
 
 
 def test_json_payload_carries_the_trace():

@@ -210,10 +210,6 @@ class TestMLP:
         with pytest.raises(ValueError):
             a.polyak_from(a, tau=1.5)
 
-    def test_n_parameters(self, rng):
-        net = MLP((3, 8, 2), rng)
-        assert net.n_parameters() == 3 * 8 + 8 + 8 * 2 + 2
-
     @given(st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=6))
     @settings(max_examples=20, deadline=None)
     def test_forward_shape_property(self, batch, out_dim):

@@ -1,13 +1,11 @@
-"""Unit and property tests for repro.envs.spaces."""
+"""Unit tests for repro.envs.spaces."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.envs import Box, Dict, Discrete, MultiDiscrete, Tuple, flatdim, flatten, unflatten
+from repro.envs import Box, Discrete
 
 
 class TestBox:
@@ -87,103 +85,3 @@ class TestDiscrete:
     def test_invalid_n_raises(self):
         with pytest.raises(ValueError):
             Discrete(0)
-
-
-class TestMultiDiscrete:
-    def test_sample_and_contains(self, rng):
-        space = MultiDiscrete([3, 2, 4])
-        for _ in range(30):
-            x = space.sample(rng)
-            assert space.contains(x)
-            assert x.shape == (3,)
-
-    def test_rejects_bad_nvec(self):
-        with pytest.raises(ValueError):
-            MultiDiscrete([3, 0])
-
-
-class TestComposite:
-    def test_tuple_sample_contains(self, rng):
-        space = Tuple([Box(-1, 1, shape=(2,)), Discrete(3)])
-        x = space.sample(rng)
-        assert space.contains(x)
-        assert not space.contains((np.zeros(2),))  # wrong arity
-
-    def test_dict_sample_contains(self, rng):
-        space = Dict({"obs": Box(-1, 1, shape=(2,)), "goal": Discrete(2)})
-        x = space.sample(rng)
-        assert space.contains(x)
-        assert set(x.keys()) == {"goal", "obs"}
-
-    def test_dict_rejects_missing_key(self, rng):
-        space = Dict({"a": Discrete(2), "b": Discrete(2)})
-        assert not space.contains({"a": 0})
-
-    def test_tuple_seed_fans_out(self):
-        space = Tuple([Discrete(10), Discrete(10)])
-        space.seed(3)
-        a = space.sample()
-        space.seed(3)
-        b = space.sample()
-        assert a == b
-
-
-class TestFlatten:
-    def test_box_roundtrip(self, rng):
-        box = Box(-1, 1, shape=(2, 3))
-        x = box.sample(rng)
-        flat = flatten(box, x)
-        assert flat.shape == (flatdim(box),) == (6,)
-        assert np.allclose(unflatten(box, flat), x)
-
-    def test_discrete_onehot(self):
-        space = Discrete(4)
-        flat = flatten(space, 2)
-        assert np.allclose(flat, [0, 0, 1, 0])
-        assert unflatten(space, flat) == 2
-
-    def test_discrete_with_start(self):
-        space = Discrete(3, start=5)
-        flat = flatten(space, 6)
-        assert np.allclose(flat, [0, 1, 0])
-        assert unflatten(space, flat) == 6
-
-    def test_multidiscrete_roundtrip(self, rng):
-        space = MultiDiscrete([3, 4])
-        x = space.sample(rng)
-        assert np.array_equal(unflatten(space, flatten(space, x)), x)
-
-    def test_composite_roundtrip(self, rng):
-        space = Tuple([Discrete(3), Box(-1, 1, shape=(2,))])
-        x = space.sample(rng)
-        y = unflatten(space, flatten(space, x))
-        assert y[0] == x[0]
-        assert np.allclose(y[1], x[1])
-
-    def test_dict_roundtrip(self, rng):
-        space = Dict({"a": Discrete(2), "b": Box(0, 1, shape=(3,))})
-        x = space.sample(rng)
-        y = unflatten(space, flatten(space, x))
-        assert y["a"] == x["a"]
-        assert np.allclose(y["b"], x["b"])
-
-    @given(st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=11))
-    @settings(max_examples=30, deadline=None)
-    def test_discrete_onehot_property(self, n, value):
-        if value >= n:
-            value = value % n
-        space = Discrete(n)
-        flat = flatten(space, value)
-        assert flat.sum() == 1.0
-        assert unflatten(space, flat) == value
-
-    @given(
-        st.lists(
-            st.floats(min_value=-100, max_value=100, allow_nan=False), min_size=1, max_size=8
-        )
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_box_flatten_roundtrip_property(self, values):
-        arr = np.asarray(values)
-        box = Box(-200, 200, shape=arr.shape)
-        assert np.allclose(unflatten(box, flatten(box, arr)), arr)

@@ -35,6 +35,7 @@ from repro.rl import (
     Tanh,
     TanhGaussian,
     Transition,
+    VTraceAgent,
 )
 from repro.rl.distributions import LOG_STD_MAX, LOG_STD_MIN, DiagGaussian
 from repro.rl.errors import check_finite_update
@@ -279,6 +280,44 @@ class TestDivergenceGuard:
         assert excinfo.value.extras["algorithm"] == "sac"
         assert excinfo.value.extras["quantity"] == "grad_norm"
         assert excinfo.value.extras["n_updates"] == 0
+
+    @staticmethod
+    def vtrace_batch(agent, T=4, N=2):
+        """A ``(T, N)`` trajectory batch acted by ``agent``."""
+        rng = np.random.default_rng(0)
+        obs = rng.standard_normal((T, N, agent.obs_dim))
+        out = agent.act(obs.reshape(T * N, agent.obs_dim))
+        return {
+            "observations": obs,
+            "actions": out["action"].reshape(T, N, agent.act_dim),
+            "rewards": rng.standard_normal((T, N)),
+            "terminations": np.zeros((T, N)),
+            "behaviour_log_probs": out["log_prob"].reshape(T, N),
+            "bootstrap_obs": rng.standard_normal((N, agent.obs_dim)),
+        }
+
+    @pytest.mark.parametrize("cause", ["nan-reward", "exploding-backward"])
+    def test_vtrace_update_raises_and_leaves_the_learner_untouched(self, monkeypatch, cause):
+        agent = VTraceAgent(3, 1, seed=0)
+        agent.update(**self.vtrace_batch(agent))  # Adam moments away from zero
+        batch = self.vtrace_batch(agent)
+        if cause == "nan-reward":
+            batch["rewards"][1, 0] = np.nan
+        else:
+            self.exploding_backward(monkeypatch, agent._params)
+        state = agent.policy_state()
+        moments = agent.optimizer._m.copy(), agent.optimizer._v.copy()
+        with np.errstate(over="ignore"):
+            with pytest.raises(DivergenceError) as excinfo:
+                agent.update(**batch)
+        extras = excinfo.value.extras
+        assert (extras["algorithm"], extras["n_updates"]) == ("vtrace", 1)
+        expected = "policy_loss" if cause == "nan-reward" else "grad_norm"
+        assert extras["quantity"] == expected
+        assert all(np.array_equal(value, agent.policy_state()[k]) for k, value in state.items())
+        assert_same_bits(agent.optimizer._m, moments[0])
+        assert_same_bits(agent.optimizer._v, moments[1])
+        assert agent.optimizer.t == 1
 
 
 # ------------------------------------------------- the parent's update code

@@ -84,11 +84,6 @@ class TestSyncVectorEnv:
         obs2, _ = venv.reset(seed=7)
         assert np.allclose(obs, obs2)  # but reproducible
 
-    def test_sample_actions_shape(self, rng):
-        venv = SyncVectorEnv([lambda: FixedLengthEnv() for _ in range(4)])
-        actions = venv.sample_actions(rng)
-        assert actions.shape == (4, 1)
-
     def test_len_and_repr(self):
         venv = SyncVectorEnv([lambda: FixedLengthEnv() for _ in range(2)])
         assert len(venv) == 2
