@@ -10,8 +10,9 @@ TF-Agents) that share algorithms but differ *structurally*:
   effect);
 * per-step and per-update efficiency constants.
 
-:class:`Framework` implements PPO and SAC training loops once,
-parameterized by a :class:`WorkerLayout` the concrete back-ends provide.
+:class:`Framework` implements the on-policy actor-learner loop (PPO's
+and V-trace's) and SAC's loop once, parameterized by a
+:class:`WorkerLayout` and a few per-back-end hooks.
 The *learning* runs for real on the host (scaled step budget). What a run
 costs on the paper's testbed does not depend on what it learns: it is a
 :class:`CostPlan`, a pure function of the configuration and of how many
@@ -47,7 +48,7 @@ from ..faults import (
     FaultPlan,
     RecoveryPolicy,
 )
-from ..rl import PPOAgent, PPOConfig, SACAgent, SACConfig
+from ..rl import PPOAgent, PPOConfig, SACAgent, SACConfig, VTraceAgent
 from .costmodel import CostModel, FrameworkCostProfile
 
 __all__ = [
@@ -180,9 +181,10 @@ class TrainResult(Cost):
 class WorkerLayout:
     """How a framework places environment workers on the cluster.
 
-    ``worker_nodes[i]`` is the node index running worker ``i``; workers on
-    node > 0 are *remote* (their experience crosses the link and, when
-    ``stale_remote_policy``, they act with one-iteration-old weights).
+    ``worker_nodes[i]`` is the node index running worker ``i``; workers
+    off the learner's node are *remote* (their experience crosses the
+    link and, when ``stale_remote_policy``, they act with the weights of
+    two updates earlier).
     """
 
     worker_nodes: tuple[int, ...]
@@ -213,7 +215,7 @@ class CostPlan:
     """
 
     spec: TrainSpec
-    #: env steps the run covers (whole PPO/V-trace iterations)
+    #: env steps the run covers (whole on-policy iterations)
     steps: int
     build: Callable[[ClusterSimulator], None]
 
@@ -280,11 +282,45 @@ class Framework:
     #: multiplier on the spec's train batch (RLlib defaults to larger
     #: train batches than the single-node frameworks)
     batch_multiplier: int = 1
+    #: in the on-policy DAG, rollout ``k`` waits for the weights of update
+    #: ``k - policy_lag``. The training loop's lagged groups act on the
+    #: weights of two updates earlier whatever this says.
+    policy_lag: int = 1
+    #: prefix of the on-policy DAG's rollout, experience and weights task
+    #: names, and the name of its update task. ``FaultSchedule`` hashes
+    #: task names, so a rename moves faulted costs.
+    task_prefix: str = ""
+    update_task: str = "ppo_update"
 
     # ------------------------------------------------------------- layout
     def layout(self, spec: TrainSpec) -> WorkerLayout:
-        """Worker placement for ``spec``; subclasses override."""
-        raise NotImplementedError
+        """Worker placement for ``spec``: by default one worker per
+        allocated core, all on node 0 beside the learner."""
+        return WorkerLayout(worker_nodes=tuple([0] * spec.cores_per_node))
+
+    def _acting_groups(self, layout: WorkerLayout) -> list[tuple[list[int], bool]]:
+        """The on-policy loop's act calls: the workers each call covers,
+        and whether they act on the lagged weights. One call per node
+        group; the remote groups lag when ``layout.stale_remote_policy``
+        is set."""
+        return [
+            (members, layout.stale_remote_policy and node != layout.learner_node)
+            for node, members in layout.groups().items()
+        ]
+
+    def _envs_per_worker(self, spec: TrainSpec) -> int:
+        """Env slots each on-policy worker steps per env call."""
+        return spec.n_envs
+
+    def _update_passes(self, spec: TrainSpec) -> int:
+        """Passes over each on-policy batch the DAG's update pays for."""
+        return self.effective_ppo(spec).n_epochs
+
+    def _make_agent(
+        self, spec: TrainSpec, obs_dim: int, act_dim: int
+    ) -> PPOAgent | VTraceAgent:
+        """The on-policy learner: PPO at this back-end's defaults."""
+        return PPOAgent(obs_dim, act_dim, self.effective_ppo(spec), seed=self._seed(spec, "agent"))
 
     def effective_ppo(self, spec: TrainSpec) -> PPOConfig:
         """The PPO configuration this back-end actually runs.
@@ -328,7 +364,7 @@ class Framework:
 
         A pure function of the configuration and the step count: no env
         is built and nothing is learned, so what a configuration costs is
-        known before it is trained. A run stops only between PPO
+        known before it is trained. A run stops only between on-policy
         iterations or SAC blocks, so the plan of the steps a run executed
         is its DAG exactly. ``steps_done`` rounds up to whole iterations:
         ``plan(spec, spec.total_steps)`` is the plan of a run that is not
@@ -338,7 +374,7 @@ class Framework:
         if steps_done < 1:
             raise ValueError("steps_done must be >= 1")
         if spec.algorithm == "ppo":
-            return self._plan_ppo(spec, steps_done)
+            return self._plan_on_policy(spec, steps_done)
         return self._plan_sac(spec, steps_done)
 
     def price(self, plan: CostPlan) -> Cost:
@@ -487,7 +523,7 @@ class Framework:
         self.validate(spec)
         telemetry = Telemetry.or_null(telemetry)
         if spec.algorithm == "ppo":
-            return self._train_ppo(spec, callback, telemetry)
+            return self._train_on_policy(spec, callback, telemetry)
         return self._train_sac(spec, callback, telemetry)
 
     @staticmethod
@@ -511,29 +547,37 @@ class Framework:
             return make_vec(spec.env_id, n, **spec.env_kwargs)
         return SyncVectorEnv([lambda: make(spec.env_id, **spec.env_kwargs)] * n)
 
-    # ---------------------------------------------------------------- PPO
-    def _train_ppo(
+    # ---------------------------------------------------------- on-policy
+    def _train_on_policy(
         self,
         spec: TrainSpec,
         callback: Callable[[int, float], bool] | None = None,
         telemetry: Telemetry | None = None,
     ) -> TrainResult:
-        """PPO: every worker of the layout steps ``spec.n_envs`` episodes
-        per env call.
+        """The on-policy actor-learner loop: PPO, or V-trace on IMPALA.
 
-        One env batch covers all worker slots (slot ``w * n_envs + j`` is
-        worker ``w``'s ``j``-th episode). Each step acts once per node
-        group; when the layout's remote policy is stale, remote groups act
-        with the weights of one update earlier. A truncated episode
-        bootstraps from its final observation, and finished episodes join
-        the learning curve in slot order.
+        Every worker of the layout steps :meth:`_envs_per_worker`
+        episodes per env call, and one env batch covers all worker slots
+        (slot ``w * n_envs + j`` is worker ``w``'s ``j``-th episode).
+        Each step makes one act call per group of
+        :meth:`_acting_groups`. At iteration ``k`` the lagged groups act
+        on the weights of update ``max(k - 2, 0)``, the others on the
+        learner's current weights; the agent swaps weights only when
+        consecutive groups differ. Finished episodes join the learning
+        curve in slot order.
+
+        The agent's buffer says who bootstraps. PPO's rollout buffer
+        takes a truncated episode's final value from the weights of the
+        last group that acted, and each group's last values from its own
+        weights. V-trace's buffer ends a truncated trajectory like a
+        terminated one, and its learner values the observations after
+        the segment inside the update.
         """
         telem = Telemetry.or_null(telemetry)
         meters = telem.trial_meters
         layout = self.layout(spec)
-        groups = layout.groups()
         n_workers = layout.n_workers
-        n_envs = spec.n_envs
+        n_envs = self._envs_per_worker(spec)
         total = n_workers * n_envs
         venv = self._env_batch(spec, total)
         seeds = [
@@ -545,44 +589,50 @@ class Framework:
         obs_dim = int(np.prod(venv.single_observation_space.shape))
         act_dim = int(np.prod(venv.single_action_space.shape))
         map_action = _space_action_mapper(venv.single_action_space)
-        env_groups = {
-            node: [w * n_envs + j for w in members for j in range(n_envs)]
-            for node, members in groups.items()
-        }
+        slot_groups = [
+            ([w * n_envs + j for w in workers for j in range(n_envs)], lags)
+            for workers, lags in self._acting_groups(layout)
+        ]
 
-        agent = PPOAgent(
-            obs_dim, act_dim, self.effective_ppo(spec), seed=self._seed(spec, "agent")
-        )
+        agent = self._make_agent(spec, obs_dim, act_dim)
         fragment = self._fragment(spec, total)
         buffer = agent.make_buffer(fragment, total)
+        bootstraps = buffer.bootstraps
 
         landings: list[float] = []
         curve: list[tuple[int, float]] = []
 
-        # Policy snapshots for staleness: remote groups act with the
-        # snapshot taken one update earlier than the local group.
-        fresh_state = agent.policy_state()
-        stale_state = agent.policy_state()
+        # The lagged groups act on `stale_state`: after each update the
+        # snapshot that was fresh becomes stale, so it is two updates old.
+        fresh_state = stale_state = agent.policy_state()
+        held = fresh_state  # the snapshot whose weights the agent holds
+
+        def hold(state: dict[str, np.ndarray]) -> None:
+            nonlocal held
+            if state is not held:
+                agent.load_policy_state(state)
+                held = state
 
         steps_done = 0
         iteration = 0
         while steps_done < spec.total_steps:
             with telem.span("rollout", iteration=iteration) as rollout_span:
                 buffer.reset()
-                current_state = agent.policy_state()
+                current_state = held = agent.policy_state()
+                acting = [
+                    (slots, stale_state if lags else current_state)
+                    for slots, lags in slot_groups
+                ]
                 for t in range(fragment):
                     actions = np.zeros((total, act_dim))
                     log_probs = np.zeros(total)
                     values = np.zeros(total)
-                    for node, members in env_groups.items():
-                        use_stale = (
-                            layout.stale_remote_policy and node != layout.learner_node
-                        )
-                        agent.load_policy_state(stale_state if use_stale else current_state)
-                        out = agent.act(obs_batch[members])
-                        actions[members] = out["action"]
-                        log_probs[members] = out["log_prob"]
-                        values[members] = out["value"]
+                    for slots, state in acting:
+                        hold(state)
+                        out = agent.act(obs_batch[slots])
+                        actions[slots] = out["action"]
+                        log_probs[slots] = out["log_prob"]
+                        values[slots] = out["value"]
                     try:
                         next_obs, rewards, terms, truncs, infos = venv.step(
                             map_action(actions)
@@ -593,22 +643,23 @@ class Framework:
                     for i in np.flatnonzero(terms | truncs):
                         info = infos[i]
                         landings.append(_episode_score(info))
-                        if truncs[i] and not terms[i]:
+                        if bootstraps and truncs[i] and not terms[i]:
                             boots[i] = agent.value(info["final_observation"][None])[0]
                     buffer.add(
                         obs_batch, actions, log_probs, rewards, values, terms, truncs, boots
                     )
                     obs_batch = next_obs
-                last_values = np.zeros(total)
-                for node, members in env_groups.items():
-                    use_stale = layout.stale_remote_policy and node != layout.learner_node
-                    agent.load_policy_state(stale_state if use_stale else current_state)
-                    last_values[members] = agent.value(obs_batch[members])
-                buffer.finish(last_values)
+                if bootstraps:
+                    last_values = np.zeros(total)
+                    for slots, state in acting:
+                        hold(state)
+                        last_values[slots] = agent.value(obs_batch[slots])
+                    buffer.finish(last_values)
+                else:
+                    buffer.finish(obs_batch)
 
             with telem.span("weight_sync", iteration=iteration):
-                agent.load_policy_state(current_state)
-                # shift staleness window: what was fresh is now stale
+                hold(current_state)
                 stale_state = fresh_state
                 fresh_state = current_state
 
@@ -630,37 +681,45 @@ class Framework:
 
         return self._finalize(spec, agent, landings, curve, steps_done, telem)
 
-    def _plan_ppo(self, spec: TrainSpec, steps_done: int) -> CostPlan:
-        """PPO's DAG: per iteration, one rollout task per worker (each
-        worker samples ``fragment`` steps of its ``n_envs`` episodes),
+    def _plan_on_policy(self, spec: TrainSpec, steps_done: int) -> CostPlan:
+        """The on-policy DAG: per iteration, one rollout task per worker
+        (each worker samples ``fragment`` steps of its episodes),
         experience shipped from remote nodes, the learner's update, and
-        the weight broadcast remote workers wait for."""
+        the weight broadcast to every remote node. Rollout ``k`` waits
+        for the weights of update ``k - policy_lag``; beyond a lag of
+        one, update ``k - 1`` is no longer upstream of update ``k``'s
+        actors, so the learner's serial order becomes a dependency of
+        its own."""
         layout = self.layout(spec)
         groups = layout.groups()
         n_workers = layout.n_workers
-        envs_per_worker = spec.n_envs
+        envs_per_worker = self._envs_per_worker(spec)
         fragment = self._fragment(spec, n_workers * envs_per_worker)
         batch = fragment * n_workers * envs_per_worker
         n_iterations = -(-steps_done // batch)
         env_step_s = self._env_step_s(spec)
-        n_epochs = self.effective_ppo(spec).n_epochs
+        n_passes = self._update_passes(spec)
         learner = layout.learner_node
+        lag = self.policy_lag
+        prefix = self.task_prefix
 
         def build(sim: ClusterSimulator) -> None:
-            prev_update_task = None
-            prev_bcasts: dict[int, Any] = {}
+            updates: list[Any] = []
+            bcasts: list[dict[int, Any]] = []
             for iteration in range(n_iterations):
                 actor_tasks = []
                 transfer_tasks = []
                 for node, members in groups.items():
-                    if node == learner:
-                        deps = [prev_update_task] if prev_update_task else []
+                    if iteration < lag:
+                        deps = []
+                    elif node == learner:
+                        deps = [updates[iteration - lag]]
                     else:
-                        deps = [prev_bcasts[node]] if node in prev_bcasts else []
+                        deps = [bcasts[iteration - lag][node]]
                     for i in members:
                         actor_tasks.append(
                             sim.task(
-                                f"rollout[{iteration}]w{i}",
+                                f"{prefix}rollout[{iteration}]w{i}",
                                 node,
                                 duration=fragment * envs_per_worker * env_step_s
                                 / self.cluster.nodes[node].core_speed,
@@ -672,7 +731,7 @@ class Framework:
                         node_tasks = [t for t in actor_tasks if t.node == node]
                         transfer_tasks.append(
                             sim.transfer(
-                                f"experience[{iteration}]n{node}",
+                                f"{prefix}experience[{iteration}]n{node}",
                                 node,
                                 learner,
                                 n_bytes=len(members)
@@ -685,12 +744,14 @@ class Framework:
                 update_deps = [t for t in actor_tasks if t.node == learner] + transfer_tasks
                 if not update_deps:
                     update_deps = actor_tasks
+                if lag > 1 and updates:
+                    update_deps.append(updates[-1])
                 update_task = sim.task(
-                    f"ppo_update[{iteration}]",
+                    f"{self.update_task}[{iteration}]",
                     learner,
                     duration=self.cost_model.ppo_update_s(
                         batch,
-                        n_epochs,
+                        n_passes,
                         spec.cores_per_node,
                         self.profile,
                         self.cluster.nodes[learner].core_speed,
@@ -699,18 +760,20 @@ class Framework:
                     cores=spec.cores_per_node,
                     deps=update_deps,
                 )
-                prev_update_task = update_task
-                prev_bcasts = {
-                    node: sim.transfer(
-                        f"weights[{iteration}]n{node}",
-                        learner,
-                        node,
-                        n_bytes=self.cost_model.weights_bytes,
-                        deps=[update_task],
-                    )
-                    for node in groups
-                    if node != learner
-                }
+                updates.append(update_task)
+                bcasts.append(
+                    {
+                        node: sim.transfer(
+                            f"{prefix}weights[{iteration}]n{node}",
+                            learner,
+                            node,
+                            n_bytes=self.cost_model.weights_bytes,
+                            deps=[update_task],
+                        )
+                        for node in groups
+                        if node != learner
+                    }
+                )
 
         return CostPlan(spec, n_iterations * batch, build)
 
@@ -874,7 +937,7 @@ class Framework:
     def _finalize(
         self,
         spec: TrainSpec,
-        agent: PPOAgent | SACAgent,
+        agent: PPOAgent | VTraceAgent | SACAgent,
         landings: list[float],
         curve: list[tuple[int, float]],
         steps_done: int,
@@ -904,7 +967,7 @@ class Framework:
             learning_curve=curve,
         )
 
-    def _evaluate(self, spec: TrainSpec, agent: PPOAgent | SACAgent) -> float:
+    def _evaluate(self, spec: TrainSpec, agent: PPOAgent | VTraceAgent | SACAgent) -> float:
         """Deterministic post-training evaluation: the mean
         :func:`_episode_score` of ``spec.eval_episodes`` episodes, episode
         ``e`` seeded ``1_000_000 + e``.

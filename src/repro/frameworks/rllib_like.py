@@ -8,10 +8,10 @@ Structure reproduced from RLlib's synchronous-sampling PPO deployment:
 * remote actors ship experience over the 1 GbE link and receive weight
   broadcasts, which pipeline with the learner update — the reason the
   2-node configurations post the best computation times in Table I;
-* remote actors act with weights that are one update old (the broadcast
-  overlaps the next sampling round). This genuine off-policy lag is what
-  degrades the 2-node rewards relative to their 1-node twins
-  (solutions 8 vs 7 in the paper: −0.73 vs −0.52).
+* remote actors act with weights two updates old: at iteration ``k``
+  they act on the learner's weights after update ``max(k − 2, 0)``. This
+  genuine off-policy lag is what degrades the 2-node rewards relative to
+  their 1-node twins (solutions 8 vs 7 in the paper: −0.73 vs −0.52).
 """
 
 from __future__ import annotations

@@ -6,12 +6,15 @@ all on a single machine, stepping in lockstep; the learner update runs on
 the same cores afterwards. No network traffic, no policy staleness — the
 freshest on-policy data of the three back-ends, which is why the paper's
 best rewards (solutions 14 and 16) come from this framework.
+
+A single-process vec-env stack has no supervisor: the first crash of its
+node fails the trial (the default fail-fast recovery raises a typed
+``ClusterFaultError``).
 """
 
 from __future__ import annotations
 
-from ..faults import FailFastRecovery, RecoveryPolicy
-from .base import Framework, TrainSpec, WorkerLayout
+from .base import Framework
 from .costmodel import STABLE_PROFILE
 
 __all__ = ["StableBaselinesLike"]
@@ -23,16 +26,3 @@ class StableBaselinesLike(Framework):
     name = "stable"
     supports_multi_node = False
     profile = STABLE_PROFILE
-
-    def recovery_policy(self, spec: TrainSpec, layout: WorkerLayout) -> RecoveryPolicy:
-        """A single-process vec-env stack has no supervisor: the first
-        crash of its node fails the trial (typed ClusterFaultError)."""
-        return FailFastRecovery()
-
-    def layout(self, spec: TrainSpec) -> WorkerLayout:
-        return WorkerLayout(
-            worker_nodes=tuple([0] * spec.cores_per_node),
-            learner_node=0,
-            stale_remote_policy=False,
-            ships_experience=False,
-        )

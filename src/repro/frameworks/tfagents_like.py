@@ -2,11 +2,11 @@
 
 TF-Agents parallelizes training "on a single node, using multiple CPUs"
 (§V-b) through parallel drivers feeding a graph-compiled learner. The
-structural layout matches the Stable-Baselines back-end (one worker per
-core, one node); the difference is the cost profile: the compiled update
-path parallelizes better, making this the most power-efficient back-end —
-the paper's solution 11 (one node, four cores) is the minimum-energy
-configuration at 120 kJ.
+structural layout is the Stable-Baselines back-end's, the default one
+worker per core on one node; the difference is the cost profile: the
+compiled update path parallelizes better, making this the most
+power-efficient back-end — the paper's solution 11 (one node, four
+cores) is the minimum-energy configuration at 120 kJ.
 """
 
 from __future__ import annotations
@@ -24,6 +24,8 @@ class TFAgentsLike(Framework):
     name = "tfagents"
     supports_multi_node = False
     profile = TFAGENTS_PROFILE
+    #: TF-Agents' stock PPO runs fewer optimizer epochs per batch
+    ppo_defaults = {"n_epochs": 6}
 
     def recovery_policy(self, spec: TrainSpec, layout: WorkerLayout) -> RecoveryPolicy:
         """The parallel drivers block until their node returns (the run
@@ -31,13 +33,3 @@ class TFAgentsLike(Framework):
         re-executed); a crash with no scheduled restart aborts with the
         documented completion penalty."""
         return DegradeRecovery()
-    #: TF-Agents' stock PPO runs fewer optimizer epochs per batch
-    ppo_defaults = {"n_epochs": 6}
-
-    def layout(self, spec: TrainSpec) -> WorkerLayout:
-        return WorkerLayout(
-            worker_nodes=tuple([0] * spec.cores_per_node),
-            learner_node=0,
-            stale_remote_policy=False,
-            ships_experience=False,
-        )

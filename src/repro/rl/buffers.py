@@ -84,6 +84,11 @@ class RolloutBuffer:
         for batch in buffer.minibatches(n, rng): ...
     """
 
+    #: whoever fills the buffer values what follows a truncation and the
+    #: segment (``bootstrap_values`` and ``last_values``), with the critic
+    #: that acted
+    bootstraps = True
+
     def __init__(
         self,
         n_steps: int,

@@ -61,9 +61,9 @@ def check_finite_update(
     One pass over the gradients: the per-parameter sums of squares that
     make the norm are finite unless a gradient is non-finite or its
     square overflows, and only then is that parameter searched. They are
-    taken parameter by parameter and added in parameter order, as
-    :func:`~repro.rl.nn.global_grad_norm` does, so the norm is the same
-    float. Pass it on to :func:`~repro.rl.nn.clip_grad_norm`.
+    taken parameter by parameter and added in parameter order, so the
+    norm is the float that summing each parameter's own squared gradient,
+    in order, gives. Pass it on to :func:`~repro.rl.nn.clip_grad_norm`.
     """
     for name, value in losses.items():
         if not np.isfinite(value):

@@ -478,25 +478,12 @@ class MLP:
         mine += tau * other._flat.value
 
 
-def global_grad_norm(params: Iterable[Parameter]) -> float:
-    """L2 norm of all gradients concatenated."""
-    total = 0.0
-    for p in params:
-        total += float(np.sum(p.grad * p.grad))
-    return float(np.sqrt(total))
-
-
-def clip_grad_norm(
-    params: Iterable[Parameter], max_norm: float, norm: float | None = None
-) -> float:
+def clip_grad_norm(params: Iterable[Parameter], max_norm: float, norm: float) -> float:
     """Scale gradients in place so their global norm is at most ``max_norm``.
 
-    Returns the pre-clip norm. Pass ``norm`` when it is already known
-    (:func:`~repro.rl.errors.check_finite_update` returns it).
+    ``norm`` is their pre-clip global norm, which
+    :func:`~repro.rl.errors.check_finite_update` returns; it is returned.
     """
-    params = list(params)
-    if norm is None:
-        norm = global_grad_norm(params)
     if norm > max_norm and norm > 0.0:
         scale = max_norm / norm
         for p in params:

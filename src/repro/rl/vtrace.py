@@ -18,7 +18,8 @@ advantage; the value function regresses onto the ``v_t`` targets.
 :class:`~repro.rl.actor_critic.ActorCritic` (the networks, Gaussian head,
 acting, snapshots and divergence guard PPO uses) this way, with a single
 optimization pass per batch (IMPALA performs one SGD step per
-trajectory batch, unlike PPO's epochs).
+trajectory batch, unlike PPO's epochs). Its :class:`TrajectoryBuffer`
+fills like PPO's rollout buffer, so one actor-learner loop drives both.
 """
 
 from __future__ import annotations
@@ -28,8 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .actor_critic import ActorCritic
+from .buffers import RolloutBuffer
 
-__all__ = ["vtrace_returns", "VTraceConfig", "VTraceAgent"]
+__all__ = ["vtrace_returns", "VTraceConfig", "VTraceAgent", "TrajectoryBuffer"]
 
 
 def vtrace_returns(
@@ -94,6 +96,39 @@ class VTraceConfig:
     initial_log_std: float = 0.0
 
 
+class TrajectoryBuffer(RolloutBuffer):
+    """``(T, N)`` trajectories for one V-trace update.
+
+    The learner bootstraps inside its update, so the buffer folds no
+    bootstrap value in: a truncation ends a trajectory like a
+    termination, and :meth:`finish` keeps the observations after the
+    segment for the learner's current critic.
+    """
+
+    bootstraps = False
+
+    def add(
+        self,
+        obs: np.ndarray,
+        actions: np.ndarray,
+        log_probs: np.ndarray,
+        rewards: np.ndarray,
+        values: np.ndarray,
+        terminations: np.ndarray,
+        truncations: np.ndarray,
+        bootstrap_values: np.ndarray | None = None,
+    ) -> None:
+        """Record one vector-env step; ``bootstrap_values`` are ignored."""
+        super().add(obs, actions, log_probs, rewards, values, terminations, truncations)
+
+    def finish(self, last_observations: np.ndarray) -> None:
+        """Keep the ``(N, obs_dim)`` observations after the segment."""
+        if not self.full:
+            raise RuntimeError("cannot finish a partially filled buffer")
+        self.bootstrap_observations = np.asarray(last_observations, dtype=np.float64)
+        self._finished = True
+
+
 class VTraceAgent(ActorCritic):
     """Continuous-control actor-critic trained with V-trace targets."""
 
@@ -108,34 +143,28 @@ class VTraceAgent(ActorCritic):
     ) -> None:
         super().__init__(obs_dim, act_dim, config or VTraceConfig(), seed)
 
-    def update(
-        self,
-        observations: np.ndarray,
-        actions: np.ndarray,
-        rewards: np.ndarray,
-        terminations: np.ndarray,
-        behaviour_log_probs: np.ndarray,
-        bootstrap_obs: np.ndarray,
-    ) -> dict[str, float]:
-        """One V-trace gradient step over a ``(T, N, ...)`` trajectory batch."""
+    def update(self, buffer: TrajectoryBuffer) -> dict[str, float]:
+        """One V-trace gradient step over a finished trajectory buffer."""
         cfg = self.config
-        T, N = rewards.shape
+        T, N = buffer.rewards.shape
         n = T * N
-        flat_obs = observations.reshape(n, self.obs_dim)
-        flat_actions = actions.reshape(n, self.act_dim)
+        flat_obs = buffer.observations.reshape(n, self.obs_dim)
+        flat_actions = buffer.actions.reshape(n, self.act_dim)
 
         dist = self.head.distribution(self.actor.forward(flat_obs))
         target_log_probs = dist.log_prob(flat_actions).reshape(T, N)
+        # before the step: the distribution shares log_std's storage
+        entropy = float(dist.entropy().mean())
         # the bootstrap pass first, so the critic's backward reads the batch's caches
-        bootstrap_value = self.critic.forward(bootstrap_obs)[:, 0]
+        bootstrap_value = self.critic.forward(buffer.bootstrap_observations)[:, 0]
         values = self.critic.forward(flat_obs)[:, 0]
         vs, pg_adv = vtrace_returns(
-            rewards,
+            buffer.rewards,
             values.reshape(T, N),
             bootstrap_value,
-            behaviour_log_probs,
+            buffer.log_probs,
             target_log_probs,
-            terminations,
+            buffer.terminations,
             gamma=cfg.gamma,
             rho_bar=cfg.rho_bar,
             c_bar=cfg.c_bar,
@@ -151,9 +180,12 @@ class VTraceAgent(ActorCritic):
         self._metrics = {
             "policy_loss": policy_loss,
             "value_loss": value_loss,
-            # read after the step: the distribution shares log_std's storage
-            "entropy": float(dist.entropy().mean()),
-            "mean_is_ratio": float(np.exp(target_log_probs - behaviour_log_probs).mean()),
+            "entropy": entropy,
+            "mean_is_ratio": float(np.exp(target_log_probs - buffer.log_probs).mean()),
             "grad_norm": grad_norm,
         }
         return dict(self._metrics)
+
+    def make_buffer(self, n_steps: int, n_envs: int) -> TrajectoryBuffer:
+        """Construct a trajectory buffer matching this agent's dimensions."""
+        return TrajectoryBuffer(n_steps, n_envs, self.obs_dim, self.act_dim)

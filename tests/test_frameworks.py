@@ -106,6 +106,69 @@ class TestLayouts:
         assert layout.groups() == {0: [0, 1], 1: [2, 3]}
 
 
+def stamp_versions(framework):
+    """Make ``framework``'s on-policy agent stamp every policy snapshot
+    with its update count; return the log of ``(learner's update count,
+    acting weights' update count)`` of every stochastic act call."""
+    calls: list[tuple[int, int]] = []
+    make_agent = framework._make_agent
+
+    def stamped(spec, obs_dim, act_dim):
+        agent = make_agent(spec, obs_dim, act_dim)
+        # updates made, and the update count of the weights the agent holds
+        updates, held = [0], [0]
+        policy_state, load, update, act = (
+            agent.policy_state, agent.load_policy_state, agent.update, agent.act
+        )
+
+        def load_policy_state(state):
+            load(state)
+            held[0] = state["version"]
+
+        def update_and_stamp(buffer):
+            stats = update(buffer)
+            updates[0] += 1
+            held[0] = updates[0]
+            return stats
+
+        def logged_act(observations, deterministic=False):
+            if not deterministic:
+                calls.append((updates[0], held[0]))
+            return act(observations, deterministic)
+
+        agent.policy_state = lambda: {**policy_state(), "version": held[0]}
+        agent.load_policy_state = load_policy_state
+        agent.update = update_and_stamp
+        agent.act = logged_act
+        return agent
+
+    framework._make_agent = stamped
+    return calls
+
+
+class TestPolicyLag:
+    @pytest.mark.parametrize(
+        "name,n_nodes,lagged",
+        [
+            ("rllib", 2, [False, True]),  # the local group, then the remote one
+            ("impala", 2, [True]),  # every actor in one call
+            ("stable", 1, [False]),
+        ],
+    )
+    def test_lagged_groups_act_on_weights_two_updates_old(self, name, n_nodes, lagged):
+        fw = get_framework(name)
+        calls = stamp_versions(fw)
+        # two workers, 32 steps each per iteration, five iterations
+        fw.train(tiny_spec(
+            n_nodes=n_nodes, cores_per_node=2 // n_nodes, train_batch_size=64,
+            total_steps=320, eval_episodes=1,
+        ))
+        assert sorted({k for k, _ in calls}) == [0, 1, 2, 3, 4]
+        assert len(calls) == 5 * 32 * len(lagged)
+        for i, (k, version) in enumerate(calls):
+            assert version == (max(k - 2, 0) if lagged[i % len(lagged)] else k), i
+
+
 class TestPPOTraining:
     @pytest.mark.parametrize("name", ["rllib", "stable", "tfagents"])
     def test_train_produces_result(self, name):

@@ -473,15 +473,16 @@ class TestWorkerLoss:
 
     def test_silent_worker_is_reaped_and_trial_comes_back_crashed(self):
         executor = RemoteExecutor(max_workers=1, heartbeat_timeout=0.6)
+        # submitted first, so the trial is dispatched as the zombie
+        # registers, before its heartbeat can lapse
+        executor.submit(TrialTask(
+            seq=0,
+            config=Configuration({"quality": 1, "cost": 10}, trial_id=1),
+            seed=0,
+            case_study=RemoteCaseStudy(),
+        ))
         sock = self.zombie_connect(executor)
         try:
-            executor.wait_for_workers(1, timeout=5.0)
-            executor.submit(TrialTask(
-                seq=0,
-                config=Configuration({"quality": 1, "cost": 10}, trial_id=1),
-                seed=0,
-                case_study=RemoteCaseStudy(),
-            ))
             outcomes = []
             deadline = time.monotonic() + 10.0
             while not outcomes and time.monotonic() < deadline:
@@ -502,9 +503,9 @@ class TestWorkerLoss:
         executor = RemoteExecutor(
             max_workers=1, heartbeat_timeout=0.6, telemetry=telem
         )
+        # the welcome follows registration; the zombie may be reaped already
         sock = self.zombie_connect(executor)
         try:
-            executor.wait_for_workers(1, timeout=5.0)
             deadline = time.monotonic() + 10.0
             while executor.n_workers and time.monotonic() < deadline:
                 time.sleep(0.05)

@@ -7,8 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.rl import MLP, Dense, Parameter, ReLU, Tanh, clip_grad_norm, orthogonal_init
-from repro.rl.nn import global_grad_norm
+from repro.rl import (
+    MLP,
+    Adam,
+    Dense,
+    Parameter,
+    ReLU,
+    Tanh,
+    check_finite_update,
+    clip_grad_norm,
+    orthogonal_init,
+)
 
 
 def numeric_grad(fn, array, eps=1e-6):
@@ -219,20 +228,26 @@ class TestMLP:
 
 
 class TestGradClipping:
+    @staticmethod
+    def grad_norm(net):
+        """The norm every learner clips by: what the divergence check returns."""
+        return check_finite_update("test", 0, {}, Adam(net.parameters()))
+
     def test_clip_reduces_norm(self, rng):
         net = MLP((3, 4, 2), rng)
         for p in net.parameters():
             p.grad[...] = 10.0
-        norm_before = global_grad_norm(net.parameters())
-        returned = clip_grad_norm(net.parameters(), max_norm=1.0)
-        assert returned == pytest.approx(norm_before)
-        assert global_grad_norm(net.parameters()) == pytest.approx(1.0)
+        norm_before = self.grad_norm(net)
+        assert norm_before == pytest.approx(10.0 * np.sqrt(MLP.size_of((3, 4, 2))))
+        returned = clip_grad_norm(net.parameters(), max_norm=1.0, norm=norm_before)
+        assert returned == norm_before
+        assert self.grad_norm(net) == pytest.approx(1.0)
 
     def test_no_clip_when_small(self, rng):
         net = MLP((3, 4, 2), rng)
         for p in net.parameters():
             p.grad[...] = 1e-4
         before = [p.grad.copy() for p in net.parameters()]
-        clip_grad_norm(net.parameters(), max_norm=10.0)
+        clip_grad_norm(net.parameters(), max_norm=10.0, norm=self.grad_norm(net))
         for p, b in zip(net.parameters(), before):
-            assert np.allclose(p.grad, b)
+            assert np.array_equal(p.grad, b)

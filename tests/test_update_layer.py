@@ -283,33 +283,35 @@ class TestDivergenceGuard:
 
     @staticmethod
     def vtrace_batch(agent, T=4, N=2):
-        """A ``(T, N)`` trajectory batch acted by ``agent``."""
+        """A finished ``(T, N)`` trajectory buffer acted by ``agent``."""
         rng = np.random.default_rng(0)
         obs = rng.standard_normal((T, N, agent.obs_dim))
         out = agent.act(obs.reshape(T * N, agent.obs_dim))
-        return {
-            "observations": obs,
-            "actions": out["action"].reshape(T, N, agent.act_dim),
-            "rewards": rng.standard_normal((T, N)),
-            "terminations": np.zeros((T, N)),
-            "behaviour_log_probs": out["log_prob"].reshape(T, N),
-            "bootstrap_obs": rng.standard_normal((N, agent.obs_dim)),
-        }
+        actions = out["action"].reshape(T, N, agent.act_dim)
+        log_probs = out["log_prob"].reshape(T, N)
+        rewards = rng.standard_normal((T, N))
+        buffer = agent.make_buffer(T, N)
+        for t in range(T):
+            buffer.add(
+                obs[t], actions[t], log_probs[t], rewards[t], np.zeros(N), np.zeros(N), np.zeros(N)
+            )
+        buffer.finish(rng.standard_normal((N, agent.obs_dim)))
+        return buffer
 
     @pytest.mark.parametrize("cause", ["nan-reward", "exploding-backward"])
     def test_vtrace_update_raises_and_leaves_the_learner_untouched(self, monkeypatch, cause):
         agent = VTraceAgent(3, 1, seed=0)
-        agent.update(**self.vtrace_batch(agent))  # Adam moments away from zero
+        agent.update(self.vtrace_batch(agent))  # Adam moments away from zero
         batch = self.vtrace_batch(agent)
         if cause == "nan-reward":
-            batch["rewards"][1, 0] = np.nan
+            batch.rewards[1, 0] = np.nan
         else:
             self.exploding_backward(monkeypatch, agent._params)
         state = agent.policy_state()
         moments = agent.optimizer._m.copy(), agent.optimizer._v.copy()
         with np.errstate(over="ignore"):
             with pytest.raises(DivergenceError) as excinfo:
-                agent.update(**batch)
+                agent.update(batch)
         extras = excinfo.value.extras
         assert (extras["algorithm"], extras["n_updates"]) == ("vtrace", 1)
         expected = "policy_loss" if cause == "nan-reward" else "grad_norm"

@@ -6,9 +6,10 @@ Three guarantees hold the whole performance story together:
   ``act(..., deterministic=True)`` equals acting on observation ``i``
   alone, so an evaluation score does not depend on how many episodes
   run at once;
-* each algorithm has one training loop, which at ``n_envs=1`` steps one
-  scalar env per slot; the native batched env in their place changes
-  no result — same rewards, same virtual times, same learning curves;
+* each algorithm family has one training loop (PPO and V-trace share the
+  on-policy one), which at ``n_envs=1`` steps one scalar env per slot;
+  the native batched env in their place changes no result — same
+  rewards, same virtual times, same learning curves;
 * at ``n_envs>1`` a campaign's table fingerprint is a pure function of
   its seed: stable across the serial/thread/process executors and
   across cache-cold vs cache-warm runs.
@@ -80,7 +81,8 @@ def test_deterministic_act_rows_do_not_depend_on_the_batch(make_agent):
         pytest.param(framework, algorithm, id=f"{algorithm}-{framework}")
         for algorithm in ("ppo", "sac")
         for framework in ("rllib", "stable", "tfagents")
-    ],
+    ]
+    + [pytest.param("impala", "ppo", id="ppo-impala")],
 )
 def test_vectorized_n_envs_1_is_byte_identical_to_serial(framework, algorithm, monkeypatch):
     fw = get_framework(framework)

@@ -7,7 +7,21 @@ import pytest
 
 import repro.airdrop  # noqa: F401
 from repro.frameworks import ImpalaLike, TrainSpec, get_framework
+from repro.obs import RingBufferSink, Telemetry
 from repro.rl import VTraceAgent, VTraceConfig, compute_gae, vtrace_returns
+
+
+def trajectories(agent, observations, actions, rewards, terminations, log_probs, last_obs):
+    """A finished trajectory buffer of ``agent`` holding ``(T, N)`` arrays."""
+    T, N = rewards.shape
+    buffer = agent.make_buffer(T, N)
+    for t in range(T):
+        buffer.add(
+            observations[t], actions[t], log_probs[t], rewards[t], np.zeros(N),
+            terminations[t], np.zeros(N, dtype=bool),
+        )
+    buffer.finish(last_obs)
+    return buffer
 
 
 class TestVTraceReturns:
@@ -84,17 +98,50 @@ class TestVTraceAgent:
         agent = VTraceAgent(3, 1, seed=0)
         rng = np.random.default_rng(0)
         T, N = 8, 4
-        stats = agent.update(
+        stats = agent.update(trajectories(
+            agent,
             rng.standard_normal((T, N, 3)),
             rng.standard_normal((T, N, 1)),
             rng.standard_normal((T, N)),
             np.zeros((T, N)),
             rng.standard_normal((T, N)),
             rng.standard_normal((N, 3)),
-        )
+        ))
         for key in ("policy_loss", "value_loss", "entropy", "mean_is_ratio"):
             assert key in stats
         assert agent.n_updates == 1
+
+    def test_reports_the_entropy_of_the_policy_it_trained_on(self):
+        agent = VTraceAgent(3, 2, VTraceConfig(initial_log_std=-0.3), seed=0)
+        log_std = agent.log_std.value.copy()
+        rng = np.random.default_rng(0)
+        T, N = 8, 4
+        stats = agent.update(trajectories(
+            agent,
+            rng.standard_normal((T, N, 3)),
+            rng.standard_normal((T, N, 2)),
+            rng.standard_normal((T, N)),
+            np.zeros((T, N)),
+            rng.standard_normal((T, N)),
+            rng.standard_normal((N, 3)),
+        ))
+        # the differential entropy of N(mean, diag(exp(log_std))^2)
+        before = float(np.sum(log_std + 0.5 * np.log(2.0 * np.pi * np.e)))
+        after = float(np.sum(agent.log_std.value + 0.5 * np.log(2.0 * np.pi * np.e)))
+        assert after != pytest.approx(before, rel=1e-12, abs=0.0)
+        assert stats["entropy"] == pytest.approx(before, rel=1e-12, abs=0.0)
+
+    def test_truncation_ends_a_trajectory_without_a_bootstrap(self):
+        agent = VTraceAgent(3, 1, seed=0)
+        buffer = agent.make_buffer(1, 3)
+        buffer.add(
+            np.zeros((3, 3)), np.zeros((3, 1)), np.zeros(3), np.array([1.0, -0.0, 2.0]),
+            np.zeros(3), np.array([True, False, False]), np.array([False, True, False]),
+            np.full(3, 5.0),
+        )
+        assert not buffer.bootstraps
+        assert buffer.terminations.tolist() == [[1.0, 1.0, 0.0]]
+        assert buffer.rewards[0].tobytes() == np.array([1.0, -0.0, 2.0]).tobytes()
 
     def test_learns_simple_objective(self):
         """Reward = -a²: the policy mean must shrink toward zero."""
@@ -108,8 +155,8 @@ class TestVTraceAgent:
             actions = out["action"].reshape(T, N, 1)
             logp = out["log_prob"].reshape(T, N)
             rewards = -(actions[..., 0] ** 2)
-            agent.update(obs, actions, rewards, np.zeros((T, N)), logp,
-                         rng.standard_normal((N, 2)))
+            agent.update(trajectories(agent, obs, actions, rewards, np.zeros((T, N)), logp,
+                                      rng.standard_normal((N, 2))))
         test_actions = agent.act(rng.standard_normal((100, 2)), deterministic=True)["action"]
         assert np.mean(np.abs(test_actions)) < 0.15
 
@@ -144,6 +191,18 @@ class TestImpalaLike:
         assert result.framework == "impala"
         assert np.isfinite(result.reward)
         assert result.computation_time_s > 0
+
+    def test_emits_the_on_policy_phase_spans(self):
+        sink = RingBufferSink()
+        spec = TrainSpec(
+            algorithm="ppo", n_nodes=2, cores_per_node=2,
+            env_kwargs={"rk_order": 3}, seed=0, total_steps=300, eval_episodes=1,
+        )
+        result = ImpalaLike().train(spec, telemetry=Telemetry(sink))
+        names = [span["name"] for span in sink.spans()]
+        iterations = result.diagnostics["real_steps"] / 128  # 4 actors x 32 steps
+        for phase in ("rollout", "weight_sync", "update"):
+            assert names.count(phase) == iterations, phase
 
     def test_pipelining_beats_rllib_wall_clock(self):
         """The async DAG must make IMPALA faster than synchronous RLlib at
