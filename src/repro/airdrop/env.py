@@ -15,11 +15,11 @@ Environment parameters mirror §IV-B: wind on/off, gusts on/off,
 ``gust_probability``, ``altitude_limits`` and the Runge–Kutta order
 (3, 5 or 8 — scipy's RK23 / DOPRI5 / DOP853 tableaus).
 
-Each control step costs ``n_stages`` right-hand-side evaluations,
-reported per step in ``info['rhs_evals']``; the cluster cost model
-charges virtual compute time proportional to it, which is how the
-order-3/5/8 choice trades accuracy against computation time exactly as in
-the paper.
+Each control step costs ``n_stages`` right-hand-side evaluations of the
+order's tableau (:attr:`~repro.airdrop.model.AirdropModel.rhs_evals_per_step`);
+the cost plan charges virtual compute time per env step from the tableau
+of ``TrainSpec.rk_order``, which is how the order-3/5/8 choice trades
+accuracy against computation time exactly as in the paper.
 
 :class:`AirdropEnv` is the one-row front of the shared simulation model
 (:mod:`repro.airdrop.model`): it steps a single ``(9,)`` state row, and
@@ -56,7 +56,6 @@ class AirdropEnv(AirdropModel, Env[np.ndarray, np.ndarray]):
         self.action_space = Box(low=-1.0, high=1.0, shape=(1,))
         self.wind_model = WindModel(self.wind_config)
         self._state: np.ndarray | None = None
-        self._steps = 0
 
     # ------------------------------------------------------------------ API
     @property
@@ -71,7 +70,6 @@ class AirdropEnv(AirdropModel, Env[np.ndarray, np.ndarray]):
     ) -> tuple[np.ndarray, dict[str, Any]]:
         super().reset(seed=seed)
         self._state, info = self._draw(self.np_random, options)
-        self._steps = 0
         self.wind_model.reset()
         return self._observe(self._state), info
 
@@ -85,11 +83,8 @@ class AirdropEnv(AirdropModel, Env[np.ndarray, np.ndarray]):
         wind = self._static_wind
         if wind is None:
             wind = self.wind_model.update(self.np_random, self.dt)
-        self._steps += 1
-        info: dict[str, Any] = {"rhs_evals": self.rhs_evals_per_step, "wind": wind.copy()}
-        state, reward, terminated = self._settle(
-            prev, self._advance(prev, u, wind), self._steps, [info]
-        )
+        info: dict[str, Any] = {}
+        state, reward, terminated = self._settle(prev, self._advance(prev, u, wind), [info])
         self._state = state
         return self._observe(state), float(reward), bool(terminated), False, info
 

@@ -16,8 +16,8 @@ pieces of the paper's Algorithm 1:
 
 Two gym fronts (classes implementing the ``reset``/``step`` contract) sit
 on it: :class:`~repro.airdrop.env.AirdropEnv` steps one ``(9,)`` row and
-:class:`~repro.airdrop.batch.AirdropVectorEnv` steps ``N`` rows, adding
-only auto-reset, the per-row step limit and episode stats.
+:class:`~repro.airdrop.batch.AirdropVectorEnv` steps ``N`` rows behind
+the vector-env contract, adding only the per-row step limit and reset.
 
 A single episode is stepped as a ``(9,)`` row, not as a ``(1, 9)``
 batch: on a row every quantity in the right-hand side is a numpy scalar,
@@ -155,7 +155,6 @@ class AirdropModel:
         self,
         prev: np.ndarray,
         y: np.ndarray,
-        steps: int | np.ndarray,
         infos: list[dict[str, Any]],
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Settle one integrated step: every row flies on, lands or fails.
@@ -168,9 +167,8 @@ class AirdropModel:
         zeroed, so observations stay finite even if the corruption
         predated this step. A row at or below ground landed: it stops at
         the touchdown point interpolated between the two states and earns
-        the landing score. ``steps`` is each row's step count in its
-        episode and ``infos`` has one dict per row, which gets the
-        failure or landing facts. Returns ``(states, rewards,
+        the landing score. ``infos`` has one dict per row, which gets
+        the failure or landing facts. Returns ``(states, rewards,
         terminated)``, the last two shaped like the leading axes.
         """
         cfg = self.reward_config
@@ -189,7 +187,6 @@ class AirdropModel:
         # one row per leading index, as views: writes land in y and rewards
         rows, before = y.reshape(-1, STATE_DIM), prev.reshape(-1, STATE_DIM)
         row_rewards, row_failed = rewards.reshape(-1), failed.reshape(-1)
-        row_steps = np.reshape(steps, -1)
         for i in np.flatnonzero(ended):
             info = infos[i]
             if row_failed[i]:
@@ -210,7 +207,6 @@ class AirdropModel:
             info["landing_score"] = score
             info["miss_distance"] = -score * cfg.distance_scale
             info["touchdown"] = (x_td, y_td)
-            info["episode_rhs_evals"] = int(row_steps[i]) * self.rhs_evals_per_step
         return y, rewards, ended
 
     def _observe(self, states: np.ndarray) -> np.ndarray:

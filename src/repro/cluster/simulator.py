@@ -202,12 +202,6 @@ class ClusterSimulator:
         self._submit(t, deps)
         return t
 
-    def barrier(self, name: str, node: int, deps: Iterable[Task]) -> Task:
-        """A zero-duration, zero-core synchronization task."""
-        t = Task(name=name, node=node, cores=0, duration=0.0)
-        self._submit(t, deps)
-        return t
-
     # -------------------------------------------------------------- running
     def run(self) -> Trace:
         """Execute all submitted tasks; returns the trace."""

@@ -70,15 +70,6 @@ class ClusterSpec:
     def n_nodes(self) -> int:
         return len(self.nodes)
 
-    def total_cores(self) -> int:
-        return sum(n.n_cores for n in self.nodes)
-
-    def node_index(self, name: str) -> int:
-        for i, node in enumerate(self.nodes):
-            if node.name == name:
-                return i
-        raise KeyError(f"no node named {name!r}")
-
 
 def grid_cluster(
     n_nodes: int,

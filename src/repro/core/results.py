@@ -135,17 +135,6 @@ class ResultsTable:
             out.append(row)
         return out
 
-    def to_markdown(self, float_fmt: str = "{:.3g}") -> str:
-        columns = self._columns()
-        lines = ["| " + " | ".join(columns) + " |",
-                 "|" + "|".join("---" for _ in columns) + "|"]
-        for row in self.rows():
-            cells = [
-                float_fmt.format(v) if isinstance(v, float) else str(v) for v in row
-            ]
-            lines.append("| " + " | ".join(cells) + " |")
-        return "\n".join(lines)
-
     def to_csv(self) -> str:
         buffer = io.StringIO()
         writer = csv.writer(buffer)

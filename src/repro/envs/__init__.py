@@ -3,7 +3,7 @@
 from .env import Env, Wrapper
 from .registry import EnvSpec, make, make_vec, register, registry, spec
 from .spaces import Box, Discrete, Space
-from .vector import EpisodeStats, SyncVectorEnv
+from .vector import EpisodeStats, SyncVectorEnv, VectorEnv
 from .wrappers import OrderEnforcing, TimeLimit
 
 __all__ = [
@@ -18,6 +18,7 @@ __all__ = [
     "spec",
     "registry",
     "EnvSpec",
+    "VectorEnv",
     "SyncVectorEnv",
     "EpisodeStats",
     "TimeLimit",

@@ -23,7 +23,7 @@ worker finishes first — so, for ask-order-deterministic explorers, the
 serial, thread and process backends produce identical results tables.
 """
 
-from .cache import CODE_HASH_PACKAGES, TrialCache, code_version_tag
+from .cache import CODE_HASH_PACKAGES, TrialCache, atomic_write, code_version_tag
 from .executors import (
     EXECUTORS,
     Executor,
@@ -54,6 +54,7 @@ __all__ = [
     "RetryPolicy",
     "NO_RETRY",
     "TrialCache",
+    "atomic_write",
     "code_version_tag",
     "CODE_HASH_PACKAGES",
 ]

@@ -16,7 +16,9 @@ derives the result at commit, as for a trial it just ran, so a hit
 carries nothing of the run that stored it (no telemetry snapshot, no
 retry count). An entry in any other layout than ``format_version`` 2 —
 such as the older result-level ``trial`` body — reads as a miss and is
-overwritten by the next store, so an older cache reads cold once.
+overwritten by the next store, so an older cache reads cold once; that
+store also removes the ``<key>.outcome.json`` file the older layout kept
+beside it.
 
 Unlike the :class:`~repro.exec.CampaignJournal` (which replays *this
 campaign's* trials by trial id), the cache is keyed purely by content:
@@ -38,6 +40,7 @@ them) and must re-run.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -45,7 +48,7 @@ import threading
 from pathlib import Path
 from typing import Any
 
-__all__ = ["TrialCache", "code_version_tag", "CODE_HASH_PACKAGES"]
+__all__ = ["TrialCache", "atomic_write", "code_version_tag", "CODE_HASH_PACKAGES"]
 
 #: sub-packages whose source participates in the code-version tag —
 #: everything a trial's measurements can depend on
@@ -93,12 +96,14 @@ def code_version_tag(roots: list[str | os.PathLike] | None = None) -> str:
     return tag
 
 
-def _atomic_write(target: str, blob: str) -> None:
+def atomic_write(target: str, blob: str) -> None:
     """Write ``blob`` to ``target`` through an fsync'd rename.
 
-    The temporary name is unique per thread, not just per process:
-    ``repro serve`` runs concurrent jobs against one shared cache, and
-    two of them storing the same trial must not rename each other's file.
+    A reader sees the old file or the whole new one, and the new one is
+    on disk before it replaces the old. The temporary name is unique per
+    thread, not just per process: ``repro serve`` runs concurrent jobs
+    against one shared cache, and two of them storing the same trial
+    must not rename each other's file.
     """
     tmp = f"{target}.tmp.{os.getpid()}.{threading.get_ident()}"
     with open(tmp, "w", encoding="utf-8") as handle:
@@ -215,7 +220,10 @@ class TrialCache:
             return True
         self._memory[key] = entry
         if self.path is not None:
-            _atomic_write(os.path.join(self.path, f"{key}.json"), blob)
+            target = os.path.join(self.path, key)
+            atomic_write(f"{target}.json", blob)
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(f"{target}.outcome.json")
         return True
 
     # ------------------------------------------------------------ internals

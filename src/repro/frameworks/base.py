@@ -41,7 +41,7 @@ from ..cluster import (
     energy_from_trace,
     paper_testbed,
 )
-from ..envs import SyncVectorEnv, make, make_vec
+from ..envs import SyncVectorEnv, VectorEnv, make, make_vec
 from ..faults import (
     ClusterFaultError,
     FailFastRecovery,
@@ -527,12 +527,11 @@ class Framework:
         return self._train_sac(spec, callback, telemetry)
 
     @staticmethod
-    def _env_batch(spec: TrainSpec, n: int) -> Any:
+    def _env_batch(spec: TrainSpec, n: int) -> VectorEnv:
         """The ``n`` env slots one training or evaluation loop steps.
 
-        Every loop is written once against the vector-env contract:
-        batched ``step``, auto-reset, and ``final_observation`` /
-        ``episode`` infos on the step that ends an episode. At
+        Every loop is written once against the vector-env contract,
+        :class:`~repro.envs.VectorEnv`. At
         ``n_envs > 1`` the slots come from :func:`~repro.envs.make_vec`,
         the registered native batched env when there is one. At
         ``n_envs == 1`` each slot is one :func:`~repro.envs.make` env
@@ -972,33 +971,33 @@ class Framework:
         :func:`_episode_score` of ``spec.eval_episodes`` episodes, episode
         ``e`` seeded ``1_000_000 + e``.
 
-        The episodes run in waves on one env batch: all at once when
-        ``n_envs > 1``, one at a time when ``n_envs == 1``. Each env step
-        makes one ``act`` call over the wave's running episodes.
-        Deterministic acting draws no randomness and is row-exact
-        (:meth:`repro.rl.nn.MLP.forward_rows`), so an episode gets the
-        same actions, and the same score, whatever the width. A finished
-        episode keeps its last action until its wave ends, and what its
-        slot does after that is ignored.
+        The episodes run in waves, each on a fresh env batch: all at once
+        when ``n_envs > 1``, one at a time when ``n_envs == 1``. A wave
+        steps exactly its unfinished episodes: each env step makes one
+        ``act`` call over them, and an episode that ends leaves the batch
+        (:meth:`~repro.envs.VectorEnv.drop`). Deterministic acting draws
+        no randomness and is row-exact (:meth:`repro.rl.nn.MLP.forward_rows`),
+        and a kept slot steps on as it would beside the dropped ones, so
+        an episode gets the same actions, and the same score, whatever
+        the width.
         """
         n = spec.eval_episodes
         width = n if spec.n_envs > 1 else 1
-        venv = self._env_batch(spec, width)
-        map_action = _space_action_mapper(venv.single_action_space)
-        scores: list[float | None] = []
+        scores = [0.0] * n
         for first in range(0, n, width):
-            obs, _ = venv.reset(seed=[1_000_000 + e for e in range(first, first + width)])
-            wave: list[float | None] = [None] * width
-            running = list(range(width))
-            while running:
-                if len(running) == width:  # spares the fancy-index copies per step
-                    actions = agent.act(obs, deterministic=True)["action"]
-                else:
-                    actions[running] = agent.act(obs[running], deterministic=True)["action"]
+            venv = self._env_batch(spec, width)
+            map_action = _space_action_mapper(venv.single_action_space)
+            episodes = list(range(first, first + width))
+            obs, _ = venv.reset(seed=[1_000_000 + e for e in episodes])
+            while episodes:
+                actions = agent.act(obs, deterministic=True)["action"]
                 obs, _, terms, truncs, infos = venv.step(map_action(actions))
-                for i in running:
-                    if terms[i] or truncs[i]:
-                        wave[i] = _episode_score(infos[i])
-                running = [i for i in running if wave[i] is None]
-            scores += wave
+                done = terms | truncs
+                if done.any():
+                    ended = np.flatnonzero(done)
+                    for i in ended:
+                        scores[episodes[i]] = _episode_score(infos[i])
+                    venv.drop(ended)
+                    obs = obs[~done]
+                    episodes = [e for e, d in zip(episodes, done, strict=True) if not d]
         return float(np.mean(scores))

@@ -8,9 +8,10 @@ distribution, and a critic MLP, trained by one Adam over one
 and applies every gradient step through
 :func:`~repro.rl.errors.guarded_step`.
 
-A head is the distribution it builds from the actor's output and the
-gradient it sends back: :class:`GaussianHead` (continuous actions, the
-default) or :class:`CategoricalHead` (discrete actions).
+A head is the distribution it builds from the actor's output, its mode
+(deterministic acting) and the gradient it sends back:
+:class:`GaussianHead` (continuous actions, the default) or
+:class:`CategoricalHead` (discrete actions).
 """
 
 from __future__ import annotations
@@ -50,6 +51,10 @@ class GaussianHead:
     def distribution(self, out: np.ndarray) -> DiagGaussian:
         return DiagGaussian(out, self.log_std.value)
 
+    def mode(self, out: np.ndarray) -> np.ndarray:
+        """The most likely action: the mean, which is ``out`` itself."""
+        return out
+
     def backward(
         self, dist: DiagGaussian, actions: np.ndarray, dl_dlogp: np.ndarray, ent_coef: float
     ) -> np.ndarray:
@@ -75,6 +80,10 @@ class CategoricalHead:
 
     def distribution(self, out: np.ndarray) -> Categorical:
         return Categorical(out)
+
+    def mode(self, out: np.ndarray) -> np.ndarray:
+        """The most likely action."""
+        return Categorical(out).mode()
 
     def backward(
         self, dist: Categorical, actions: np.ndarray, dl_dlogp: np.ndarray, ent_coef: float
@@ -137,14 +146,14 @@ class ActorCritic(Agent):
         self, observations: np.ndarray, deterministic: bool = False
     ) -> dict[str, np.ndarray]:
         observations = np.atleast_2d(np.asarray(observations, dtype=np.float64))
-        # deterministic rows never depend on what else shares the batch
-        forward = MLP.forward_rows if deterministic else MLP.forward
-        dist = self.head.distribution(forward(self.actor, observations))
-        actions = dist.mode() if deterministic else dist.sample(self.rng)
+        if deterministic:  # rows never depend on what else shares the batch
+            return {"action": self.head.mode(self.actor.forward_rows(observations))}
+        dist = self.head.distribution(self.actor.forward(observations))
+        actions = dist.sample(self.rng)
         return {
             "action": actions,
             "log_prob": dist.log_prob(actions),
-            "value": forward(self.critic, observations)[:, 0],
+            "value": self.critic.forward(observations)[:, 0],
         }
 
     def value(self, observations: np.ndarray) -> np.ndarray:

@@ -53,10 +53,6 @@ class TokenAuth:
     def enabled(self) -> bool:
         return bool(self._tenants)
 
-    @property
-    def n_tenants(self) -> int:
-        return len(self._tenants) if self._tenants else 1
-
     def tenant_for(self, authorization: str | None) -> str | None:
         """The tenant a request acts as, or ``None`` when refused.
 

@@ -27,7 +27,9 @@ Errors are always JSON: ``{"error": {"type": ..., "message": ...}}``.
 
 Durability model: each job persists ``<id>.job.json`` (spec + state),
 ``<id>.journal.jsonl`` (the existing campaign journal), ``<id>.telemetry
-.jsonl`` and, on completion, ``<id>.result.json``. Only a running job
+.jsonl`` and, on completion, ``<id>.result.json``; the two JSON files are
+replaced through :func:`~repro.exec.atomic_write`'s fsync'd rename, as
+trial-cache entries are. Only a running job
 keeps its trial rows in memory; a finished one streams them from these
 files, the same way before and after a restart. A SIGTERM drain stops
 accepting work, trips every running campaign's stop flag (the campaign
@@ -50,7 +52,7 @@ import threading
 import time
 import warnings
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Iterator
 
 from ..core import (
     Campaign,
@@ -59,7 +61,7 @@ from ..core import (
     trial_to_dict,
 )
 from ..core.campaign import DecisionReport
-from ..exec import CampaignJournal, RetryPolicy, TrialCache
+from ..exec import CampaignJournal, RetryPolicy, TrialCache, atomic_write
 from ..faults import FaultPlan
 from ..obs import JsonlSink, MeterRegistry, Telemetry, chrome_trace, load_records
 from ..paper import EXPLORERS, Scale, make_explorer, table1_campaign
@@ -172,13 +174,6 @@ def validate_spec(payload: Any) -> dict[str, Any]:
 
 def expected_trials(spec: dict[str, Any]) -> int:
     return 18 if spec["explorer"] == "table1" else int(spec["trials"])
-
-
-def _atomic_write_json(path: str, payload: dict[str, Any]) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle)
-    os.replace(tmp, path)
 
 
 class CampaignService:
@@ -327,7 +322,7 @@ class CampaignService:
         return os.path.join(self.state_dir, f"{job_id}.{suffix}")
 
     def _persist(self, job: Job) -> None:
-        _atomic_write_json(self._path(job.id, "job.json"), job.snapshot())
+        atomic_write(self._path(job.id, "job.json"), json.dumps(job.snapshot()))
 
     def _read_result(self, job_id: str) -> dict[str, Any] | None:
         path = self._path(job_id, "result.json")
@@ -428,7 +423,7 @@ class CampaignService:
             for name, ranking in report.rankings.items()
         }
         payload["fingerprint_sha256"] = job.fingerprint
-        _atomic_write_json(self._path(job.id, "result.json"), payload)
+        atomic_write(self._path(job.id, "result.json"), json.dumps(payload))
         if isinstance(report.meta.get("telemetry"), dict):
             with self._meters_lock:
                 self.meters.merge_snapshot(report.meta["telemetry"])

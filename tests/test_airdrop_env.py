@@ -88,7 +88,6 @@ class TestEpisode:
         assert info["landing_score"] <= 0.0
         assert info["miss_distance"] >= 0.0
         assert "touchdown" in info
-        assert info["episode_rhs_evals"] == steps * airdrop_env.rhs_evals_per_step
 
     def test_episode_length_scales_with_altitude(self):
         env = AirdropEnv()

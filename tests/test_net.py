@@ -786,13 +786,13 @@ class TestOutcomeCache:
     def test_worker_answers_warm_trials_from_shared_cache(self, tmp_path, monkeypatch):
         warm = tmp_path / "shared-cache"
         writes = []
-        atomic_write = cache_module._atomic_write
+        atomic_write = cache_module.atomic_write
 
         def counting_write(target, blob):
             writes.append(target)
             atomic_write(target, blob)
 
-        monkeypatch.setattr(cache_module, "_atomic_write", counting_write)
+        monkeypatch.setattr(cache_module, "atomic_write", counting_write)
         report1, agents1 = run_remote_campaign(
             n_workers=1, cache=TrialCache(warm), worker_kwargs={"cache": str(warm)}
         )

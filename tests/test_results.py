@@ -95,13 +95,6 @@ class TestResultsTable:
         with pytest.raises(ValueError):
             table.best("reward")
 
-    def test_markdown_export(self):
-        md = self.make().to_markdown()
-        lines = md.splitlines()
-        assert lines[0].startswith("| id |")
-        assert len(lines) == 2 + 3  # header, separator, 3 rows
-        assert "failed" in md
-
     def test_csv_export(self):
         csv_text = self.make().to_csv()
         rows = csv_text.strip().splitlines()

@@ -161,7 +161,7 @@ class TestTokenAuth:
 
     def test_token_mode_maps_tokens_to_stable_tenants(self):
         auth = TokenAuth([TOKEN_A, TOKEN_B])
-        assert auth.enabled and auth.n_tenants == 2
+        assert auth.enabled
         tenant = auth.tenant_for(f"Bearer {TOKEN_A}")
         assert tenant == tenant_label(TOKEN_A)
         assert tenant != auth.tenant_for(f"Bearer {TOKEN_B}")
@@ -717,6 +717,42 @@ class TestFinishedJobStreams:
         for job in jobs:
             assert job._trial_rows is None  # only the status record is left
             assert job.n_trials_done == 2
+
+
+class TestDurableWrites:
+    def test_job_and_result_files_are_fsynced_before_their_rename(self, tmp_path, monkeypatch):
+        events: list[tuple[str, int, str]] = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            events.append(("fsync", os.fstat(fd).st_ino, ""))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            events.append(("replace", os.stat(src).st_ino, os.fspath(dst)))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        service = CampaignService(str(tmp_path / "state"))
+        service.start()
+        try:
+            job = service.submit(OPEN_TENANT, FAST_SPEC)
+            wait_until(lambda: job.terminal, timeout=120.0, message="job never finished")
+        finally:
+            service.drain(grace_s=10.0)
+        assert job.state == "completed"
+        prefix = os.path.join(service.state_dir, f"{job.id}.")
+        synced: set[int] = set()
+        renamed = set()
+        for kind, inode, target in list(events):
+            if kind == "fsync":
+                synced.add(inode)
+            elif target.startswith(prefix):
+                assert inode in synced, f"{target} replaced before its data was fsynced"
+                synced.discard(inode)
+                renamed.add(target[len(prefix) :])
+        assert renamed == {"job.json", "result.json"}
 
 
 # ----------------------------------------------------------- support hooks

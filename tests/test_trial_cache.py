@@ -339,3 +339,21 @@ class TestOneRecordPerKey:
         second = record_campaign(TrialCache(tmp_path / "cache"), study=again).run()
         assert (second.meta["n_cached"], again.calls) == (8, 0)
         assert len(list((tmp_path / "cache").iterdir())) == 8
+
+    def test_cold_run_removes_the_older_layouts_outcome_files(self, tmp_path):
+        """The older layout also kept a ``<key>.outcome.json`` per key; the
+        store that re-writes the key removes it, leaving one file per key."""
+        cache = TrialCache(tmp_path / "cache")
+        identity = record_campaign(cache)._cache_identity()
+        keys = []
+        for n, values in enumerate(space().grid()):
+            config = Configuration(values)
+            key = cache.key(config, 0, identity)
+            if n % 2:  # the other half left only the outcome-level file
+                write_result_level_entry(cache, key, config, 0)
+            (tmp_path / "cache" / f"{key}.outcome.json").write_text(json.dumps({"key": key}))
+            keys.append(key)
+        cold = record_campaign(TrialCache(tmp_path / "cache")).run()
+        assert cold.meta["n_cached"] == 0
+        files = sorted(path.name for path in (tmp_path / "cache").iterdir())
+        assert files == sorted(f"{key}.json" for key in keys)

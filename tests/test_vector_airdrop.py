@@ -15,7 +15,7 @@ import pytest
 from repro.airdrop import AirdropEnv, AirdropVectorEnv, make_rhs, parafoil_rhs
 from repro.airdrop.dynamics import ParafoilParams
 from repro.airdrop.integrators import get_integrator
-from repro.envs import SyncVectorEnv, make_vec
+from repro.envs import SyncVectorEnv, make, make_vec
 
 
 def _reference_vec(n_envs: int, **kwargs):
@@ -72,6 +72,45 @@ def test_lockstep_bit_identical_to_sync_vector(n_envs, kwargs):
     assert batched.stats.returns, "no episode ever finished — test too short"
 
 
+@pytest.mark.parametrize("front", ["AirdropVectorEnv", "SyncVectorEnv"])
+def test_kept_slots_step_on_like_a_twin_that_dropped_nothing(front):
+    # gusts draw from each row's RNG and wind model every step; low drops
+    # and a short step limit mix landings, truncations and auto-resets
+    kwargs = dict(wind=True, gusts=True, gust_probability=0.3, altitude_limits=(30.0, 150.0))
+
+    def build():
+        if front == "AirdropVectorEnv":
+            return AirdropVectorEnv(6, max_episode_steps=25, **kwargs)
+        return SyncVectorEnv(
+            [lambda: make("Airdrop-v0", max_episode_steps=25, **kwargs) for _ in range(6)]
+        )
+
+    twin, dropping = build(), build()
+    twin.reset(seed=3)
+    dropping.reset(seed=3)
+    kept = list(range(6))
+    drops = {10: [1, 4], 40: [3]}  # step -> original slots dropped after it
+    rng = np.random.default_rng(0)
+    landings = truncations = 0
+    for t in range(120):
+        actions = rng.uniform(-1.0, 1.0, (6, 1))
+        ob, rb, tb, cb, ib = twin.step(actions)
+        od, rd, td, cd, id_ = dropping.step(actions[kept])
+        assert np.array_equal(od, ob[kept])
+        assert np.array_equal(rd, rb[kept])
+        assert np.array_equal(td, tb[kept])
+        assert np.array_equal(cd, cb[kept])
+        for position, slot in enumerate(kept):
+            _assert_infos_equal(id_[position], ib[slot])
+        landings += sum("landing_score" in info for info in id_)
+        truncations += int(cd.sum())
+        if t in drops:
+            dropping.drop([kept.index(slot) for slot in drops[t]])
+            kept = [slot for slot in kept if slot not in drops[t]]
+            assert len(dropping) == len(kept)
+    assert landings and truncations, "the kept slots never landed or truncated"
+
+
 def test_reset_seed_sequence_matches_scalar_fanout():
     a = AirdropVectorEnv(num_envs=3, rk_order=5)
     b = AirdropVectorEnv(num_envs=3, rk_order=5)
@@ -87,7 +126,7 @@ def test_make_vec_prefers_native_vector_entry_point():
     assert isinstance(venv, AirdropVectorEnv)
     assert venv.num_envs == 2
     obs, _ = venv.reset(seed=0)
-    assert obs.shape == venv.observation_space.shape
+    assert obs.shape == (2, *venv.single_observation_space.shape)
 
 
 @pytest.mark.parametrize("front", ["AirdropVectorEnv", "SyncVectorEnv"])

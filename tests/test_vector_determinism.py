@@ -20,12 +20,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-import repro.classic  # noqa: F401  (registers Pendulum-v0)
+import repro.classic  # noqa: F401  (registers Pendulum-v0 and CartPole-v0)
 from repro.airdrop import AirdropVectorEnv
 from repro.core import RandomSearch
 from repro.core.serialization import table_fingerprint
 from repro.envs import make, make_vec
 from repro.frameworks import Framework, TrainSpec, get_framework
+from repro.frameworks.base import _space_action_mapper
 from repro.obs import RingBufferSink, Telemetry
 from repro.paper import Scale, airdrop_parameter_space, table1_campaign
 from repro.rl import CategoricalPPOAgent, PPOAgent, SACAgent, VTraceAgent
@@ -68,11 +69,10 @@ def test_deterministic_act_rows_do_not_depend_on_the_batch(make_agent):
     agent = make_agent()
     obs = np.random.default_rng(0).standard_normal((30, 9))
     batched = agent.act(obs, deterministic=True)
+    assert list(batched) == ["action"]
     for i in range(len(obs)):
         alone = agent.act(obs[i : i + 1], deterministic=True)
         assert np.array_equal(batched["action"][i], alone["action"][0]), i
-        if "value" in batched:
-            assert batched["value"][i] == alone["value"][0], i
 
 
 @pytest.mark.parametrize(
@@ -104,18 +104,86 @@ def test_vectorized_n_envs_1_is_byte_identical_to_serial(framework, algorithm, m
     _assert_results_equal(serial, vectorized)
 
 
-@pytest.mark.parametrize("agent_cls", [PPOAgent, SACAgent], ids=["ppo", "sac"])
-@pytest.mark.parametrize("env_id", ["Airdrop-v0", "Pendulum-v0"])
-def test_evaluation_width_changes_no_score(env_id, agent_cls):
-    # Airdrop-v0 has a native batched env, Pendulum-v0 goes through
-    # SyncVectorEnv; n_envs=1 runs the 30 episodes one at a time on one
-    # scalar env, n_envs=8 all at once
-    env = make(env_id)
-    agent = agent_cls(env.observation_space.shape[0], env.action_space.shape[0], seed=1)
+def _perturbed(agent):
+    """Shake the actor's weights so its actions follow the observation:
+    the episodes of one evaluation wave then end at different steps."""
+    net = agent.policy if isinstance(agent, SACAgent) else agent.actor
+    rng = np.random.default_rng(5)
+    for parameter in net.parameters():
+        parameter.value += rng.normal(0.0, 0.5, parameter.value.shape)
+    return agent
+
+
+@pytest.mark.parametrize(
+    "env_id,make_agent",
+    [
+        pytest.param("Airdrop-v0", lambda: PPOAgent(13, 1, seed=1), id="Airdrop-v0-ppo"),
+        pytest.param("Airdrop-v0", lambda: SACAgent(13, 1, seed=1), id="Airdrop-v0-sac"),
+        pytest.param("Pendulum-v0", lambda: PPOAgent(3, 1, seed=1), id="Pendulum-v0-ppo"),
+        pytest.param("Pendulum-v0", lambda: SACAgent(3, 1, seed=1), id="Pendulum-v0-sac"),
+    ]
+    + [
+        pytest.param(
+            "Airdrop-v0",
+            lambda cls=cls: _perturbed(cls(13, 1, seed=1)),
+            id=f"Airdrop-v0-{name}-perturbed",
+        )
+        for name, cls in (("ppo", PPOAgent), ("sac", SACAgent), ("vtrace", VTraceAgent))
+    ]
+    + [
+        pytest.param(
+            "CartPole-v0",
+            lambda: _perturbed(CategoricalPPOAgent(4, 2, seed=1)),
+            id="CartPole-v0-categorical_ppo-perturbed",
+        )
+    ],
+)
+def test_evaluation_width_changes_no_score(env_id, make_agent):
+    # Airdrop-v0 has a native batched env, Pendulum-v0 and CartPole-v0 go
+    # through SyncVectorEnv; n_envs=1 runs the 30 episodes one at a time
+    # on one scalar env, n_envs=8 all at once, dropping each as it ends
+    agent = make_agent()
     fw = get_framework("rllib")
     one_at_a_time = fw._evaluate(_spec("ppo", env_id=env_id, n_envs=1), agent)
     all_at_once = fw._evaluate(_spec("ppo", env_id=env_id, n_envs=8), agent)
     assert one_at_a_time == all_at_once
+
+
+@pytest.mark.parametrize("n_envs", [1, 8])
+def test_evaluation_steps_only_unfinished_episodes(n_envs, monkeypatch):
+    """The rows a wave steps are the sum of its episodes' lengths: a
+    finished episode is not flown on until the longest one lands."""
+    agent = _perturbed(PPOAgent(13, 1, seed=1))
+    env = make("Airdrop-v0")
+    map_action = _space_action_mapper(env.action_space)
+    lengths = []
+    for episode in range(6):
+        obs, _ = env.reset(seed=1_000_000 + episode)
+        done, steps = False, 0
+        while not done:
+            action = map_action(agent.act(obs, deterministic=True)["action"])[0]
+            obs, _, terminated, truncated, _ = env.step(action)
+            done, steps = terminated or truncated, steps + 1
+        lengths.append(steps)
+    assert len(set(lengths)) > 1, "every episode had the same length"
+
+    rows: list[int] = []
+    env_batch = Framework._env_batch
+
+    def counting_batch(spec: TrainSpec, n: int):
+        venv = env_batch(spec, n)
+        step = venv.step
+
+        def counted(actions):
+            rows.append(len(actions))
+            return step(actions)
+
+        venv.step = counted
+        return venv
+
+    monkeypatch.setattr(Framework, "_env_batch", staticmethod(counting_batch))
+    get_framework("rllib")._evaluate(_spec("ppo", n_envs=n_envs, eval_episodes=6), agent)
+    assert sum(rows) == sum(lengths)
 
 
 def test_vectorized_width_is_seed_deterministic():
