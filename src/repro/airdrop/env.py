@@ -16,7 +16,7 @@ Environment parameters mirror §IV-B: wind on/off, gusts on/off,
 (3, 5 or 8 — scipy's RK23 / DOPRI5 / DOP853 tableaus).
 
 Each control step costs ``n_stages`` right-hand-side evaluations of the
-order's tableau (:attr:`~repro.airdrop.model.AirdropModel.rhs_evals_per_step`);
+order's tableau (:attr:`~repro.airdrop.integrators.ButcherTableau.n_stages`);
 the cost plan charges virtual compute time per env step from the tableau
 of ``TrainSpec.rk_order``, which is how the order-3/5/8 choice trades
 accuracy against computation time exactly as in the paper.

@@ -115,11 +115,6 @@ class AirdropModel:
         )
         self.target = np.zeros(2)
 
-    @property
-    def rhs_evals_per_step(self) -> int:
-        """Deterministic RHS-evaluation cost of one control step (per row)."""
-        return self.integrator.n_stages
-
     def _draw(
         self, rng: np.random.Generator, options: dict[str, Any] | None = None
     ) -> tuple[np.ndarray, dict[str, Any]]:

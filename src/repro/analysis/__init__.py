@@ -20,8 +20,8 @@ before anything runs:
   (``RPR001``–``RPR004``, enforced both per-file and interprocedurally
   via call-graph taint), hygiene (``RPR005``–``RPR009``), whole-program
   concurrency (``RPR201``–``RPR205``) and cross-file contract checks
-  (``RPR101``–``RPR106``) that catch drift between dataclasses and
-  their serialized identity headers;
+  (``RPR102``–``RPR106``) that catch drift between dataclasses and
+  their serialized forms, cache keys and consumers;
 * :mod:`repro.analysis.report` — human-readable and JSON reporters;
   :mod:`repro.analysis.sarif` — SARIF 2.1.0 for code scanning;
   :mod:`repro.analysis.baseline` — the findings ratchet behind

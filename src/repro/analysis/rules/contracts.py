@@ -1,15 +1,20 @@
-"""Contract rules RPR101–RPR106: cross-file schema drift as lint errors.
+"""Contract rules RPR102–RPR106: cross-file schema drift as lint errors.
 
-The repo's durable artefacts — the campaign journal header, trial cache
-keys, serialized trial rows, benchmark recordings, the CLI surface — are
+The repo's durable artefacts — trial cache keys, serialized trial rows,
+benchmark recordings, the CLI surface, the paper's parameter space — are
 each defined in one module and *consumed* in another. Drift between the
-two (a dataclass grows a field its serializer never writes, a journal
-identity field the campaign stops providing) surfaces today as a
-resume-time surprise or a silently-wrong cache hit. These rules parse
-both sides of each contract and fail the lint instead.
+two (a dataclass grows a field its serializer never writes, a cache
+identity field that shadows a key ingredient) surfaces as a resume-time
+surprise or a silently-wrong cache hit. These rules parse both sides of
+each contract and fail the lint instead.
 
 Every rule is parameterized by repo-relative paths, so the fixtures
-tests can point the same checkers at deliberately-drifted copies.
+tests can point the same checkers at deliberately-drifted copies. A
+missing file skips a rule (the engine may be pointed at a partial tree),
+but a parsed file that lacks a symbol the rule reads — its *anchor*: a
+class, function, or the dict literal the rule compares — is a finding
+naming that symbol: a rule with nothing to compare must not pass
+silently.
 """
 
 from __future__ import annotations
@@ -30,6 +35,15 @@ class _Module:
     tree: ast.Module
 
 
+class _MissingAnchor(Exception):
+    """A parsed file lacks a symbol a contract rule reads."""
+
+    def __init__(self, module: _Module, symbol: str) -> None:
+        super().__init__(symbol)
+        self.module = module
+        self.symbol = symbol
+
+
 class ProjectRule:
     """Base class for a repo-level contract check."""
 
@@ -37,7 +51,21 @@ class ProjectRule:
     title: str = ""
     rationale: str = ""
 
-    def check_project(self, repo_root: Path) -> Iterator[Finding]:
+    def check_project(self, repo_root: Path) -> list[Finding]:
+        """The findings of :meth:`check`, or one naming its missing anchor."""
+        try:
+            return list(self.check(repo_root))
+        except _MissingAnchor as missing:
+            return [
+                self.finding(
+                    missing.module,
+                    1,
+                    f"{missing.symbol} not found in {missing.module.path}; "
+                    f"the {self.title} check has nothing to compare",
+                )
+            ]
+
+    def check(self, repo_root: Path) -> Iterator[Finding]:
         raise NotImplementedError
 
     def _load(self, repo_root: Path, rel_path: str) -> _Module | None:
@@ -57,18 +85,21 @@ class ProjectRule:
 
 
 # --------------------------------------------------------------- AST helpers
-def _find_class(tree: ast.Module, name: str) -> ast.ClassDef | None:
-    for node in tree.body:
+def _find_class(module: _Module, name: str) -> ast.ClassDef:
+    for node in module.tree.body:
         if isinstance(node, ast.ClassDef) and node.name == name:
             return node
-    return None
+    raise _MissingAnchor(module, f"class {name}")
 
 
-def _find_func(scope: ast.Module | ast.ClassDef, name: str) -> ast.FunctionDef | None:
-    for node in scope.body:
+def _find_func(
+    module: _Module, name: str, cls: ast.ClassDef | None = None
+) -> ast.FunctionDef:
+    """Module-level function ``name``, or method ``name`` of ``cls``."""
+    for node in (cls or module.tree).body:
         if isinstance(node, ast.FunctionDef) and node.name == name:
             return node
-    return None
+    raise _MissingAnchor(module, f"{cls.name}.{name}()" if cls else f"{name}()")
 
 
 def _dict_literal_keys(node: ast.Dict) -> set[str]:
@@ -80,7 +111,7 @@ def _dict_literal_keys(node: ast.Dict) -> set[str]:
     }
 
 
-def _returned_dict(func: ast.FunctionDef) -> ast.Dict | None:
+def _returned_dict(module: _Module, func: ast.FunctionDef) -> ast.Dict:
     """The dict literal the function returns (directly, or via a local
     that is assigned a dict literal and then returned/augmented)."""
     assigned: dict[str, ast.Dict] = {}
@@ -98,26 +129,7 @@ def _returned_dict(func: ast.FunctionDef) -> ast.Dict | None:
     # payload that is json.dump'ed rather than returned)
     if assigned:
         return next(reversed(assigned.values()))
-    return None
-
-
-def _assigned_tuple(tree: ast.Module, name: str) -> tuple[set[str], int] | None:
-    """Values and line of a module-level ``NAME = ("a", "b", ...)``."""
-    for node in tree.body:
-        if (
-            isinstance(node, ast.Assign)
-            and any(
-                isinstance(t, ast.Name) and t.id == name for t in node.targets
-            )
-            and isinstance(node.value, (ast.Tuple, ast.List))
-        ):
-            values = {
-                elt.value
-                for elt in node.value.elts
-                if isinstance(elt, ast.Constant) and isinstance(elt.value, str)
-            }
-            return values, node.lineno
-    return None
+    raise _MissingAnchor(module, f"the dict literal {func.name}() returns")
 
 
 def _consumed_keys(scope: ast.AST, receiver_names: set[str]) -> set[str]:
@@ -159,66 +171,13 @@ def _dataclass_fields(cls: ast.ClassDef) -> set[str]:
 
 
 # -------------------------------------------------------------------- rules
-class JournalIdentityContract(ProjectRule):
-    """RPR101: journal ``_IDENTITY_FIELDS`` ≡ ``Campaign.identity()`` keys."""
-
-    rule_id = "RPR101"
-    title = "journal identity header drift"
-    rationale = (
-        "a field present on one side only makes every resume either "
-        "unverifiable or unconditionally rejected"
-    )
-
-    def __init__(
-        self,
-        campaign_path: str = "src/repro/core/campaign.py",
-        journal_path: str = "src/repro/exec/journal.py",
-    ) -> None:
-        self.campaign_path = campaign_path
-        self.journal_path = journal_path
-
-    def check_project(self, repo_root: Path) -> Iterator[Finding]:
-        campaign = self._load(repo_root, self.campaign_path)
-        journal = self._load(repo_root, self.journal_path)
-        if campaign is None or journal is None:
-            return
-        cls = _find_class(campaign.tree, "Campaign")
-        identity = _find_func(cls, "identity") if cls is not None else None
-        fields = _assigned_tuple(journal.tree, "_IDENTITY_FIELDS")
-        if identity is None or fields is None:
-            return
-        returned = _returned_dict(identity)
-        if returned is None:
-            return
-        provided = _dict_literal_keys(returned)
-        required, line = fields
-        missing = sorted(required - provided)
-        unchecked = sorted(provided - required)
-        if missing:
-            yield self.finding(
-                journal,
-                line,
-                f"_IDENTITY_FIELDS requires {missing} but Campaign.identity() "
-                f"({self.campaign_path}) never provides them — every resume "
-                "would be rejected",
-            )
-        if unchecked:
-            yield self.finding(
-                journal,
-                line,
-                f"Campaign.identity() provides {unchecked} but "
-                "_IDENTITY_FIELDS never verifies them — a mismatched resume "
-                "would be silently accepted",
-            )
-
-
 class CacheKeyCollisionContract(ProjectRule):
     """RPR102: campaign cache identity must not shadow TrialCache.key fields."""
 
     rule_id = "RPR102"
     title = "trial cache key field collision"
     rationale = (
-        "TrialCache.key() merges the campaign identity with **unpacking; "
+        "TrialCache.key() merges the campaign's trial identity with **unpacking; "
         "an identity key named like a payload field would silently "
         "overwrite the config/seed/code ingredients of every address"
     )
@@ -231,23 +190,17 @@ class CacheKeyCollisionContract(ProjectRule):
         self.campaign_path = campaign_path
         self.cache_path = cache_path
 
-    def check_project(self, repo_root: Path) -> Iterator[Finding]:
+    def check(self, repo_root: Path) -> Iterator[Finding]:
         campaign = self._load(repo_root, self.campaign_path)
         cache = self._load(repo_root, self.cache_path)
         if campaign is None or cache is None:
             return
-        campaign_cls = _find_class(campaign.tree, "Campaign")
-        cache_cls = _find_class(cache.tree, "TrialCache")
-        if campaign_cls is None or cache_cls is None:
-            return
-        identity_fn = _find_func(campaign_cls, "_cache_identity")
-        key_fn = _find_func(cache_cls, "key")
-        if identity_fn is None or key_fn is None:
-            return
-        identity_dict = _returned_dict(identity_fn)
-        payload_dict = _returned_dict(key_fn)
-        if identity_dict is None or payload_dict is None:
-            return
+        identity_fn = _find_func(
+            campaign, "_trial_identity", _find_class(campaign, "Campaign")
+        )
+        key_fn = _find_func(cache, "key", _find_class(cache, "TrialCache"))
+        identity_dict = _returned_dict(campaign, identity_fn)
+        payload_dict = _returned_dict(cache, key_fn)
         collisions = sorted(
             _dict_literal_keys(identity_dict) & _dict_literal_keys(payload_dict)
         )
@@ -280,19 +233,14 @@ class TrialSerializationContract(ProjectRule):
         self.results_path = results_path
         self.serialization_path = serialization_path
 
-    def check_project(self, repo_root: Path) -> Iterator[Finding]:
+    def check(self, repo_root: Path) -> Iterator[Finding]:
         results = self._load(repo_root, self.results_path)
         serialization = self._load(repo_root, self.serialization_path)
         if results is None or serialization is None:
             return
-        cls = _find_class(results.tree, "TrialResult")
-        to_dict = _find_func(serialization.tree, "trial_to_dict")
-        from_dict = _find_func(serialization.tree, "trial_from_dict")
-        if cls is None or to_dict is None:
-            return
-        returned = _returned_dict(to_dict)
-        if returned is None:
-            return
+        cls = _find_class(results, "TrialResult")
+        from_dict = _find_func(serialization, "trial_from_dict")
+        returned = _returned_dict(serialization, _find_func(serialization, "trial_to_dict"))
         written = _dict_literal_keys(returned)
         dropped = sorted(_dataclass_fields(cls) - written)
         if dropped:
@@ -303,16 +251,14 @@ class TrialSerializationContract(ProjectRule):
                 "never written by trial_to_dict — journal resumes and cache "
                 "replays would silently lose them",
             )
-        if from_dict is not None:
-            read = _consumed_keys(from_dict, {"row"})
-            phantom = sorted(read - written)
-            if phantom:
-                yield self.finding(
-                    serialization,
-                    from_dict.lineno,
-                    f"trial_from_dict reads keys {phantom} that trial_to_dict "
-                    "never writes — they can only ever take their defaults",
-                )
+        phantom = sorted(_consumed_keys(from_dict, {"row"}) - written)
+        if phantom:
+            yield self.finding(
+                serialization,
+                from_dict.lineno,
+                f"trial_from_dict reads keys {phantom} that trial_to_dict "
+                "never writes — they can only ever take their defaults",
+            )
 
 
 class BenchSchemaContract(ProjectRule):
@@ -330,14 +276,12 @@ class BenchSchemaContract(ProjectRule):
     def __init__(self, record_path: str = "benchmarks/record.py") -> None:
         self.record_path = record_path
 
-    def check_project(self, repo_root: Path) -> Iterator[Finding]:
+    def check(self, repo_root: Path) -> Iterator[Finding]:
         module = self._load(repo_root, self.record_path)
         if module is None:
             return
-        record_fn = _find_func(module.tree, "record")
-        compare_fn = _find_func(module.tree, "compare")
-        if record_fn is None or compare_fn is None:
-            return
+        record_fn = _find_func(module, "record")
+        compare_fn = _find_func(module, "compare")
         payload: ast.Dict | None = None
         entry: ast.Dict | None = None
         for node in ast.walk(record_fn):
@@ -352,12 +296,12 @@ class BenchSchemaContract(ProjectRule):
                     and target.value.id == "results"
                 ):
                     entry = node.value
-        for written, receivers, what in (
-            (payload, {"baseline", "candidate"}, "recording fields"),
-            (entry, {"base", "cand"}, "workload fields"),
+        for written, receivers, what, anchor in (
+            (payload, {"baseline", "candidate"}, "recording fields", "payload = {...}"),
+            (entry, {"base", "cand"}, "workload fields", "results[name] = {...}"),
         ):
             if written is None:
-                continue
+                raise _MissingAnchor(module, f"the dict literal record() assigns as {anchor}")
             read = _consumed_keys(compare_fn, receivers)
             phantom = sorted(read - _dict_literal_keys(written))
             if phantom:
@@ -382,7 +326,7 @@ class CliWiringContract(ProjectRule):
     def __init__(self, cli_path: str = "src/repro/cli.py") -> None:
         self.cli_path = cli_path
 
-    def check_project(self, repo_root: Path) -> Iterator[Finding]:
+    def check(self, repo_root: Path) -> Iterator[Finding]:
         module = self._load(repo_root, self.cli_path)
         if module is None:
             return
@@ -444,13 +388,11 @@ class SpaceSpecContract(ProjectRule):
     def __init__(self, table1_path: str = "src/repro/paper/table1.py") -> None:
         self.table1_path = table1_path
 
-    def check_project(self, repo_root: Path) -> Iterator[Finding]:
+    def check(self, repo_root: Path) -> Iterator[Finding]:
         module = self._load(repo_root, self.table1_path)
         if module is None:
             return
-        space_fn = _find_func(module.tree, "airdrop_parameter_space")
-        if space_fn is None:
-            return
+        space_fn = _find_func(module, "airdrop_parameter_space")
         declared: dict[str, int] = {}
         for node in ast.walk(space_fn):
             if (
@@ -484,7 +426,6 @@ class SpaceSpecContract(ProjectRule):
 def default_project_rules() -> list[ProjectRule]:
     """One instance of every contract rule, in rule-id order."""
     return [
-        JournalIdentityContract(),
         CacheKeyCollisionContract(),
         TrialSerializationContract(),
         BenchSchemaContract(),

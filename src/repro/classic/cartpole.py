@@ -66,10 +66,6 @@ class CartPoleEnv(Env[np.ndarray, int]):
         self._state: np.ndarray | None = None
         self._steps = 0
 
-    @property
-    def rhs_evals_per_step(self) -> int:
-        return self.integrator.n_stages
-
     def reset(
         self, *, seed: int | None = None, options: dict[str, Any] | None = None
     ) -> tuple[np.ndarray, dict[str, Any]]:

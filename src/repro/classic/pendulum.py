@@ -46,10 +46,6 @@ class PendulumEnv(Env[np.ndarray, np.ndarray]):
         self._state: np.ndarray | None = None
         self._t = 0
 
-    @property
-    def rhs_evals_per_step(self) -> int:
-        return self.integrator.n_stages
-
     def _observe(self) -> np.ndarray:
         theta, theta_dot = self._state
         return np.array([np.cos(theta), np.sin(theta), theta_dot])

@@ -504,7 +504,7 @@ def _add_lint_parser(subparsers) -> None:
     p.add_argument(
         "--no-contracts",
         action="store_true",
-        help="skip the cross-file contract rules (RPR101+)",
+        help="skip the cross-file contract rules (RPR102–RPR106)",
     )
     p.add_argument(
         "--show-suppressed",

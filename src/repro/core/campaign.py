@@ -33,6 +33,7 @@ from ..exec import (
     TrialCache,
     TrialOutcome,
     TrialTask,
+    code_version_tag,
     make_executor,
 )
 from ..obs import (
@@ -167,7 +168,8 @@ class Campaign:
     (enforced by the thread/process executors). ``journal`` is a
     :class:`repro.exec.CampaignJournal`: every committed trial is
     durably appended, and a journal opened with ``resume=True`` replays
-    recorded trials instead of re-evaluating them.
+    recorded trials instead of re-evaluating them, once its header
+    matches :meth:`identity` in every field.
 
     ``cache`` (a :class:`repro.exec.TrialCache`, or a directory path for
     a persistent one) memoizes completed trials by content — config
@@ -253,15 +255,21 @@ class Campaign:
             executor=executor.name,
             max_workers=executor.max_workers,
         )
+        identity = cache_identity = None
+        if self.journal is not None or self.cache is not None:
+            identity, trial_identity = self._identities()
+            if self.cache is not None and trial_identity["study"] is not None:
+                # without the study's settings two studies with different
+                # physics could collide on identical configurations
+                cache_identity = trial_identity
         if self.journal is not None:
             self.journal.open(
-                self.identity(),
+                identity,
                 topology={
                     "executor": executor.name,
                     "max_workers": executor.max_workers,
                 },
             )
-        cache_identity = self._cache_identity()
         n_retried = 0
         n_cached = 0
         next_seq = 0  # seq of the next ask
@@ -437,14 +445,42 @@ class Campaign:
         return self.base_seed
 
     def identity(self) -> dict[str, Any]:
-        """The fields that must match for a journal resume to be valid."""
-        return {
+        """Everything a run of this campaign depends on.
+
+        Three parts: the trial identity every trial's cache key folds in
+        (:meth:`_trial_identity`); what decides which trials run
+        (``explorer``, ``base_seed``, ``seed_strategy``); and ``code``, the
+        :func:`~repro.exec.code_version_tag` of the source a trial's
+        measurements depend on. A journal writes all of it into its header
+        and refuses a resume that differs in any field.
+        """
+        return self._identities()[0]
+
+    def _identities(self) -> tuple[dict[str, Any], dict[str, Any]]:
+        """:meth:`identity` and, as a dict of its own, its trial part."""
+        trial = self._trial_identity()
+        identity = {
+            **trial,
             "explorer": type(self.explorer).__name__,
             "base_seed": self.base_seed,
             "seed_strategy": self.seed_strategy,
-            "metrics": list(self.metrics.names),
+            "code": code_version_tag(),
+        }
+        return identity, trial
+
+    def _trial_identity(self) -> dict[str, Any]:
+        """The campaign-level ingredients of every trial's cache key.
+
+        ``study`` is the case study's ``cache_key()``: its settings not
+        captured by the configuration (steps, env kwargs, ``n_envs``,
+        cluster), or None when the study declares none.
+        """
+        study_key = getattr(self.case_study, "cache_key", None)
+        return {
             "space": self._space_hash(),
             "fault_plan": self._fault_plan_hash(),
+            "metrics": list(self.metrics.names),
+            "study": study_key() if callable(study_key) else None,
         }
 
     def _space_hash(self) -> str:
@@ -470,26 +506,6 @@ class Campaign:
         if plan is None or getattr(plan, "is_empty", True):
             return ""
         return plan.plan_hash()
-
-    def _cache_identity(self) -> dict[str, Any] | None:
-        """Campaign-level ingredients of every trial's cache key.
-
-        ``None`` disables caching for this run — no cache configured, or
-        the case study does not declare its evaluation-relevant settings
-        via ``cache_key()`` (without them two studies with different
-        physics could collide on identical configurations).
-        """
-        if self.cache is None:
-            return None
-        study_key = getattr(self.case_study, "cache_key", None)
-        if not callable(study_key):
-            return None
-        return {
-            "space": self._space_hash(),
-            "fault_plan": self._fault_plan_hash(),
-            "metrics": list(self.metrics.names),
-            "study": study_key(),
-        }
 
     def _make_executor(self) -> Executor:
         if self.executor is None:

@@ -153,17 +153,7 @@ def table_from_dict(payload: dict[str, Any]) -> ResultsTable:
     )
     table = ResultsTable(metrics)
     for row in payload["trials"]:
-        table.add(
-            TrialResult(
-                config=Configuration(row["config"], trial_id=row.get("trial_id")),
-                objectives=dict(row.get("objectives", {})),
-                measurements=dict(row.get("measurements", {})),
-                status=row.get("status", "completed"),
-                seed=int(row.get("seed", 0)),
-                duration_s=float(row.get("duration_s", 0.0)),
-                extras=dict(row.get("extras", {})),
-            )
-        )
+        table.add(trial_from_dict(row))
     return table
 
 

@@ -113,15 +113,9 @@ def atomic_write(target: str, blob: str) -> None:
     os.replace(tmp, target)
 
 
-def _config_values(config: Any) -> dict[str, str]:
-    """A configuration's values as the key hashes them and an entry
-    guards them."""
-    return {k: repr(v) for k, v in sorted(config.as_dict().items())}
-
-
 def _guards(entry: dict[str, Any], config: Any, seed: int) -> bool:
     """Whether ``entry`` was stored for this configuration and seed."""
-    return entry["config"] == _config_values(config) and int(entry["seed"]) == int(seed)
+    return entry["config"] == dict(config.key()) and int(entry["seed"]) == int(seed)
 
 
 class TrialCache:
@@ -151,15 +145,15 @@ class TrialCache:
     def key(self, config: Any, seed: int, identity: dict[str, Any]) -> str:
         """The content address of one trial (32 hex chars).
 
-        ``identity`` carries the campaign-level ingredients (space hash,
-        fault-plan hash, metric names, case-study key); the configuration
-        values, seed and code tag are folded in here. ``trial_id`` is
-        deliberately **not** part of the key — the same configuration
+        ``identity`` is the trial part of the campaign's identity (space
+        hash, fault-plan hash, metric names, the case study's settings);
+        the configuration values, seed and code tag are folded in here.
+        ``trial_id`` is deliberately **not** part of the key — the same configuration
         proposed at a different position in a different campaign is the
         same work.
         """
         payload = {
-            "config": _config_values(config),
+            "config": dict(config.key()),
             "seed": int(seed),
             "code": self.code_tag,
             **{k: identity[k] for k in sorted(identity)},
@@ -205,7 +199,7 @@ class TrialCache:
             "key": key,
             "code": self.code_tag,
             "seed": int(seed),
-            "config": _config_values(config),
+            "config": dict(config.key()),
             "measurements": dict(outcome.measurements),
             "checkpoints": [[int(s), float(v)] for s, v in outcome.checkpoints],
             "duration_s": float(outcome.duration_s),

@@ -9,15 +9,19 @@ with whatever the explorer proposes next.
 
 File layout::
 
-    {"type": "campaign", "format_version": 1, "explorer": ..., ...}
+    {"type": "campaign", "format_version": 2, "space": ..., "study": ..., ...}
     {"type": "trial", "checkpoints": [...], ...trial fields...}
     {"type": "trial", ...}
 
-The header pins the campaign identity (explorer class, base seed, seed
-strategy, metric names); resuming under a different identity raises
-:class:`JournalMismatch` — silently mixing two campaigns' trials would
-poison the decision report. A torn final line (the process died
-mid-write) is tolerated and dropped on load.
+The header holds the whole campaign identity
+(:meth:`repro.core.Campaign.identity`: space and fault-plan hashes,
+metric names, the case study's settings, explorer, base seed, seed
+strategy and the code-version tag). A resume verifies every field, in
+the header's JSON form, and raises :class:`JournalMismatch` naming the
+first that differs — silently mixing two campaigns' trials would poison
+the decision report. A journal of another ``format_version`` is refused
+the same way. A torn final line (the process died mid-write) is
+tolerated and dropped on load.
 
 Trial lines reuse the report serialization
 (:func:`repro.core.serialization.trial_to_dict`) plus the learning-curve
@@ -34,17 +38,7 @@ from typing import Any, Iterator
 
 __all__ = ["CampaignJournal", "JournalMismatch"]
 
-_FORMAT_VERSION = 1
-
-#: header fields that must match for a resume to be accepted
-_IDENTITY_FIELDS = (
-    "explorer",
-    "base_seed",
-    "seed_strategy",
-    "metrics",
-    "space",
-    "fault_plan",
-)
+_FORMAT_VERSION = 2
 
 
 class JournalMismatch(ValueError):
@@ -171,37 +165,36 @@ class CampaignJournal:
         attributions in the merged telemetry will differ from the
         original run's.
         """
-        identity = {
-            "type": "campaign",
-            "format_version": _FORMAT_VERSION,
-            **identity,
-        }
+        header = {"type": "campaign", "format_version": _FORMAT_VERSION, **identity}
         if topology is not None:
-            identity["topology"] = dict(topology)
+            header["topology"] = dict(topology)
+        # compare as the header reads back from disk (tuples become lists)
+        header = json.loads(json.dumps(header))
         if self._header is not None:
             version = self._header.get("format_version")
             if version != _FORMAT_VERSION:
                 raise JournalMismatch(
                     f"journal {self.path!r} has format version {version!r}, "
-                    f"expected {_FORMAT_VERSION}"
+                    f"expected {_FORMAT_VERSION}; its header does not hold the "
+                    "whole campaign identity (delete the file to start over)"
                 )
-            for field in _IDENTITY_FIELDS:
-                if self._header.get(field) != identity.get(field):
+            for field in {**header, **self._header}:
+                if field != "topology" and self._header.get(field) != header.get(field):
                     raise JournalMismatch(
                         f"journal {self.path!r} was written by a different "
                         f"campaign: {field}={self._header.get(field)!r} on disk "
-                        f"vs {identity.get(field)!r} now"
+                        f"vs {header.get(field)!r} now"
                     )
             recorded = self._header.get("topology")
             if (
                 topology is not None
                 and recorded is not None
-                and recorded != identity["topology"]
+                and recorded != header["topology"]
             ):
                 self.topology_warning = (
                     f"journal {self.path!r} was written under topology "
                     f"{recorded!r} but is being resumed under "
-                    f"{identity['topology']!r}; results are unaffected "
+                    f"{header['topology']!r}; results are unaffected "
                     "(commit order is topology-independent) but telemetry "
                     "timings and worker lanes will differ"
                 )
@@ -210,8 +203,8 @@ class CampaignJournal:
         # campaign, flushed per record and closed in close()
         self._handle = open(self.path, "a", encoding="utf-8")  # noqa: SIM115
         if self._header is None:
-            self._header = identity
-            self._write(identity)
+            self._header = header
+            self._write(header)
 
     def _write(self, record: dict[str, Any]) -> None:
         self._handle.write(json.dumps(record))

@@ -1,14 +1,8 @@
-"""Drifted fixture: identity()/_cache_identity() out of sync with consumers."""
+"""Drifted fixture: _trial_identity() shadows a TrialCache.key() field."""
 
 
 class Campaign:
-    def identity(self):
-        return {
-            "explorer": self.explorer,
-            "base_seed": self.base_seed,
-        }
-
-    def _cache_identity(self):
+    def _trial_identity(self):
         return {
             "space": self._space_hash(),
             "seed": 0,  # collides with TrialCache.key()'s own "seed" field

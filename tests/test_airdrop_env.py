@@ -33,7 +33,7 @@ class TestConstruction:
     @pytest.mark.parametrize("order,stages", [(3, 3), (5, 6), (8, 12)])
     def test_rhs_evals_per_step(self, order, stages):
         env = AirdropEnv(rk_order=order)
-        assert env.rhs_evals_per_step == stages
+        assert env.integrator.n_stages == stages
 
     @pytest.mark.parametrize("front", ["AirdropEnv", "AirdropVectorEnv"])
     def test_invalid_args(self, front):

@@ -53,7 +53,7 @@ class TestCartPole:
     def test_rk_order_changes_cost_not_semantics(self):
         for order, stages in [(3, 3), (5, 6), (8, 12)]:
             env = CartPoleEnv(rk_order=order)
-            assert env.rhs_evals_per_step == stages
+            assert env.integrator.n_stages == stages
 
     def test_determinism(self):
         def run():

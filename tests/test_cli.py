@@ -53,6 +53,7 @@ class TestCampaignCommand:
                 "--seed", "1",
                 "--no-plots",
                 "--output", str(out_path),
+                "--cache", str(tmp_path / "cache"),
             ]
         )
         assert code == 0
@@ -68,7 +69,7 @@ class TestCampaignCommand:
             [
                 "campaign", "--explorer", "random", "--trials", "3",
                 "--steps", "800", "--seed", "2", "--no-plots",
-                "--output", str(out_path),
+                "--output", str(out_path), "--cache", str(tmp_path / "cache"),
             ]
         )
         capsys.readouterr()
@@ -84,11 +85,42 @@ class TestCampaignCommand:
             [
                 "campaign", "--explorer", "random", "--trials", "2",
                 "--steps", "800", "--seed", "3", "--no-plots",
-                "--output", str(out_path),
+                "--output", str(out_path), "--cache", str(tmp_path / "cache"),
             ]
         )
         capsys.readouterr()
         assert main(["analyze", str(out_path), "--metric", "nope"]) == 1
+
+
+class TestResume:
+    """``--resume`` checks the journal against the whole campaign identity."""
+
+    def campaign(self, *flags):
+        return main(
+            ["campaign", "--explorer", "random", "--trials", "2", "--seed", "1",
+             "--no-plots", "--no-cache", *flags]
+        )
+
+    def test_resume_under_other_study_settings_is_refused(self, tmp_path, capsys):
+        journal = tmp_path / "journal.jsonl"
+        assert self.campaign("--steps", "300", "--journal", str(journal)) == 0
+        journaled = journal.read_bytes()
+        capsys.readouterr()
+        code = self.campaign("--steps", "600", "--n-envs", "2", "--resume", str(journal))
+        assert code == 1
+        assert "different campaign: study=" in capsys.readouterr().err
+        assert journal.read_bytes() == journaled
+        assert self.campaign("--steps", "300", "--resume", str(journal)) == 0
+        assert "replayed 2 journaled trials" in capsys.readouterr().out
+
+    def test_format_version_1_journal_is_refused(self, tmp_path, capsys):
+        journal = tmp_path / "journal.jsonl"
+        journal.write_text(
+            json.dumps({"type": "campaign", "format_version": 1, "explorer": "RandomSearch",
+                        "base_seed": 1, "seed_strategy": "fixed"}) + "\n"
+        )
+        assert self.campaign("--steps", "300", "--resume", str(journal)) == 1
+        assert "format version 1, expected 2" in capsys.readouterr().err
 
 
 class TestArgParsing:
@@ -102,18 +134,18 @@ class TestArgParsing:
 
 
 class TestExplorerFlags:
-    def test_lhs_explorer(self, capsys):
+    def test_lhs_explorer(self, tmp_path, capsys):
         code = main(
             ["campaign", "--explorer", "lhs", "--trials", "2", "--steps", "700",
-             "--seed", "4", "--no-plots"]
+             "--seed", "4", "--no-plots", "--cache", str(tmp_path / "cache")]
         )
         assert code == 0
         assert "Campaign results" in capsys.readouterr().out
 
-    def test_tpe_explorer(self, capsys):
+    def test_tpe_explorer(self, tmp_path, capsys):
         code = main(
             ["campaign", "--explorer", "tpe", "--trials", "2", "--steps", "700",
-             "--seed", "5", "--no-plots"]
+             "--seed", "5", "--no-plots", "--cache", str(tmp_path / "cache")]
         )
         assert code == 0
         assert "Campaign results" in capsys.readouterr().out

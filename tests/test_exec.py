@@ -28,6 +28,7 @@ from repro.core import (
     MetricSet,
     NoPruner,
     ParameterSpace,
+    RandomSearch,
     TrialStatus,
 )
 from repro.core.serialization import table_fingerprint, trial_from_dict, trial_to_dict
@@ -43,6 +44,7 @@ from repro.exec import (
     ThreadExecutor,
     make_executor,
 )
+from repro.faults import FaultPlan, NodeCrash
 from repro.obs import EVT_TRIAL_RETRIED, RingBufferSink, Telemetry
 
 
@@ -116,6 +118,20 @@ class InverseDurationCaseStudy:
     def evaluate(self, config, seed, progress=None):
         time.sleep(0.05 * (5 - config["quality"]))
         return {"reward": float(config["quality"]), "time": float(config["cost"])}
+
+
+class SettingsCaseStudy(PicklableCaseStudy):
+    """Declares its settings outside the configuration, as the paper's
+    study does: ``cache_key()`` and an optional fault plan."""
+
+    def __init__(self, steps=300, n_envs=1, fault_plan=None):
+        super().__init__()
+        self.steps = steps
+        self.n_envs = n_envs
+        self.fault_plan = fault_plan
+
+    def cache_key(self):
+        return {"steps": self.steps, "n_envs": self.n_envs}
 
 
 def space():
@@ -434,6 +450,105 @@ class TestJournal:
         report = campaign(journal=CampaignJournal.resume(path)).run()
         assert report.meta["n_failed"] == 2
         assert report.meta["n_replayed"] == 8
+
+
+def edited_code(monkeypatch):
+    monkeypatch.setattr("repro.core.campaign.code_version_tag", lambda: "0123456789ab")
+    return {}
+
+
+GROWN = ParameterSpace(
+    [Categorical("quality", [1, 2, 3, 4, 5]), Categorical("cost", [10, 20])]
+)
+
+#: per field of Campaign.identity(), the campaign arguments (or patch)
+#: that change that field and no other
+IDENTITY_CHANGES = {
+    "space": lambda mp: {"space": GROWN, "explorer": GridSearch(GROWN)},
+    "fault_plan": lambda mp: {
+        "case_study": SettingsCaseStudy(
+            fault_plan=FaultPlan(node_crashes=(NodeCrash(node=1, at=0.5),))
+        )
+    },
+    "metrics": lambda mp: {
+        "metrics": MetricSet([Metric(name="reward", direction="max"),
+                              Metric(name="cost", direction="min", key="time")])
+    },
+    "study": lambda mp: {"case_study": SettingsCaseStudy(steps=600, n_envs=2)},
+    "explorer": lambda mp: {"explorer": RandomSearch(space(), n_trials=8, seed=0)},
+    "base_seed": lambda mp: {"base_seed": 1},
+    "seed_strategy": lambda mp: {"seed_strategy": "increment"},
+    "code": edited_code,
+}
+
+
+def settings_campaign(journal=None, **changes):
+    args = {
+        "case_study": SettingsCaseStudy(),
+        "space": space(),
+        "explorer": GridSearch(space()),
+        "metrics": metrics(),
+        **changes,
+    }
+    return Campaign(journal=journal, **args)
+
+
+class TestJournalIdentity:
+    """The journal header is the whole of Campaign.identity(), and a
+    resume that differs from it in any one field is refused."""
+
+    def test_cases_cover_every_identity_field(self):
+        assert set(IDENTITY_CHANGES) == set(settings_campaign().identity())
+
+    @pytest.mark.parametrize("field", list(IDENTITY_CHANGES))
+    def test_resume_differing_in_one_field_is_refused(self, field, tmp_path, monkeypatch):
+        path = tmp_path / "journal.jsonl"
+        original = settings_campaign(CampaignJournal(path))
+        original.run()
+        journaled = path.read_bytes()
+        before = original.identity()
+        resumed = settings_campaign(
+            CampaignJournal.resume(path), **IDENTITY_CHANGES[field](monkeypatch)
+        )
+        after = resumed.identity()
+        assert [key for key in before if before[key] != after[key]] == [field]
+        with pytest.raises(JournalMismatch, match=f"different campaign: {field}="):
+            resumed.run()
+        assert resumed.case_study.evaluated == []
+        assert path.read_bytes() == journaled
+
+    def test_unchanged_resume_compares_the_header_in_json_form(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        study = SettingsCaseStudy()
+        study.cache_key = lambda: {"env_kwargs": ("wind", True)}  # a tuple reads back as a list
+        original = settings_campaign(CampaignJournal(path), case_study=study).run()
+        header = json.loads(path.read_text().splitlines()[0])
+        assert header.pop("topology") == {"executor": "serial", "max_workers": 1}
+        assert header == {
+            "type": "campaign",
+            "format_version": 2,
+            **settings_campaign(case_study=study).identity(),
+            "study": {"env_kwargs": ["wind", True]},
+        }
+        study.evaluated.clear()
+        resumed = settings_campaign(CampaignJournal.resume(path), case_study=study).run()
+        assert study.evaluated == []
+        assert resumed.meta["n_replayed"] == 8
+        assert table_fingerprint(resumed.table) == table_fingerprint(original.table)
+
+    def test_format_version_1_journal_is_refused_naming_the_version(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        settings_campaign(CampaignJournal(path)).run()
+        lines = path.read_text().splitlines(keepends=True)
+        header = json.loads(lines[0])
+        for field in ("study", "code"):
+            del header[field]
+        header["format_version"] = 1
+        path.write_text(json.dumps(header) + "\n" + "".join(lines[1:]))
+        journaled = path.read_bytes()
+        with pytest.raises(JournalMismatch, match="format version 1"):
+            settings_campaign(CampaignJournal.resume(path)).run()
+        assert path.read_bytes() == journaled
 
 
 # --------------------------------------------- concurrent pruner / explorer

@@ -563,10 +563,10 @@ def test_cli_rules_filter_silences_model_rules(capsys):
 
 def test_cli_rules_filter_applies_to_contract_rules(capsys):
     tree = str(CONTRACTS_BAD)
-    assert main(["lint", tree, "--rules", "RPR101", "--format", "json"]) == 1
+    assert main(["lint", tree, "--rules", "RPR103", "--format", "json"]) == 1
     decoded = json.loads(capsys.readouterr().out)
     rules = {f["rule"] for f in decoded["findings"]}
-    assert rules == {"RPR101"}, rules
+    assert rules == {"RPR103"}, rules
     assert main(["lint", tree, "--rules", "RPR102", "--format", "json"]) == 1
     decoded = json.loads(capsys.readouterr().out)
     assert {f["rule"] for f in decoded["findings"]} == {"RPR102"}

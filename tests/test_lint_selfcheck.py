@@ -7,8 +7,9 @@ Three layers:
   matching good example; the ``hazards/`` fixtures hold the calls each
   rule reads through the hazard catalogue (import-resolved names, the
   one bound rule), including a taint-only RPR001 flow;
-* contracts — every cross-file contract rule RPR101–RPR106 must fire on
-  the deliberately-drifted mini-tree and stay silent on the real repo;
+* contracts — every cross-file contract rule RPR102–RPR106 must fire on
+  the deliberately-drifted mini-tree and stay silent on the real repo,
+  and reports the symbol it reads when a parsed file no longer has it;
 * self-check — ``repro lint src/`` over the actual codebase is clean
   (zero non-suppressed findings, every suppression carries a reason).
 """
@@ -16,6 +17,7 @@ Three layers:
 from __future__ import annotations
 
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -124,7 +126,6 @@ def test_contract_drift_messages_name_the_drifted_fields():
         )
         for rule in default_project_rules()
     }
-    assert "'metrics'" in by_rule["RPR101"]
     assert "'seed'" in by_rule["RPR102"]
     assert "secret_field" in by_rule["RPR103"] and "phantom_key" in by_rule["RPR103"]
     assert "'derived'" in by_rule["RPR104"] and "'fingerprint_sha'" in by_rule["RPR104"]
@@ -149,6 +150,59 @@ def test_contract_rules_pass_on_real_repo():
     for rule in default_project_rules():
         findings = list(rule.check_project(REPO_ROOT))
         assert findings == [], (rule.rule_id, [f.message for f in findings])
+
+
+def contract_rule(rule_id: str):
+    return next(rule for rule in default_project_rules() if rule.rule_id == rule_id)
+
+
+#: (rule, file of the drifted tree, the anchor's text, its renamed text,
+#: the symbol the finding names)
+ANCHORS = [
+    ("RPR102", "src/repro/core/campaign.py", "class Campaign", "class Other",
+     "class Campaign"),
+    ("RPR102", "src/repro/core/campaign.py", "def _trial_identity", "def _other",
+     "Campaign._trial_identity()"),
+    ("RPR102", "src/repro/exec/cache.py", "def key", "def other", "TrialCache.key()"),
+    ("RPR103", "src/repro/core/results.py", "class TrialResult", "class Other",
+     "class TrialResult"),
+    ("RPR103", "src/repro/core/serialization.py", "def trial_to_dict", "def other",
+     "trial_to_dict()"),
+    ("RPR103", "src/repro/core/serialization.py", "def trial_from_dict", "def other",
+     "trial_from_dict()"),
+    ("RPR104", "benchmarks/record.py", "def compare", "def other", "compare()"),
+    ("RPR104", "benchmarks/record.py", "payload", "other", "payload = {...}"),
+    ("RPR104", "benchmarks/record.py", "results[name]", "other[name]",
+     "results[name] = {...}"),
+    ("RPR106", "src/repro/paper/table1.py", "def airdrop_parameter_space", "def other",
+     "airdrop_parameter_space()"),
+]
+
+
+@pytest.mark.parametrize("rule_id, relative, anchor, renamed, symbol", ANCHORS)
+def test_contract_rule_names_its_missing_anchor(
+    rule_id, relative, anchor, renamed, symbol, tmp_path
+):
+    """A parsed file without the symbol a rule reads is one finding naming
+    it, never a silent pass."""
+    tree = tmp_path / "tree"
+    shutil.copytree(CONTRACTS_BAD, tree)
+    target = tree / relative
+    assert anchor in target.read_text()
+    target.write_text(target.read_text().replace(anchor, renamed))
+    findings = list(contract_rule(rule_id).check_project(tree))
+    assert [(f.rule, f.path) for f in findings] == [(rule_id, relative)], findings
+    assert symbol in findings[0].message
+
+
+@pytest.mark.parametrize(
+    "rule_id, relative", sorted({(rule_id, relative) for rule_id, relative, *_ in ANCHORS})
+)
+def test_contract_rule_skips_a_missing_file(rule_id, relative, tmp_path):
+    tree = tmp_path / "tree"
+    shutil.copytree(CONTRACTS_BAD, tree)
+    (tree / relative).unlink()
+    assert list(contract_rule(rule_id).check_project(tree)) == []
 
 
 # ------------------------------------------------------------- self-check
@@ -206,7 +260,8 @@ def test_cli_lint_rule_filter_and_errors(capsys, tmp_path):
     assert main(["lint", str(FIXTURES / "rl"), "--rules", "RPR001"]) == 1
     assert main(["lint", str(tmp_path / "missing")]) == 2
     assert main(["lint", "--list-rules"]) == 0
-    assert "RPR101" in capsys.readouterr().out
+    listed = capsys.readouterr().out
+    assert "RPR102" in listed and "RPR101" not in listed
 
 
 def test_cli_lint_writes_json_artifact(tmp_path, capsys):

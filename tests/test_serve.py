@@ -455,6 +455,35 @@ class TestDrainRestart:
         finally:
             server2.drain(grace_s=10.0)
 
+    def test_restart_over_a_format_version_1_journal_fails_that_job_only(self, tmp_path):
+        """A journal whose header predates the whole campaign identity is
+        refused: the re-enqueued job ends failed naming the version, its
+        journal is left as it was, and the server keeps serving."""
+        state = str(tmp_path / "state")
+        queued = CampaignService(state).submit(OPEN_TENANT, FAST_SPEC)  # never started
+        journal = os.path.join(state, f"{queued.id}.journal.jsonl")
+        with open(journal, "w", encoding="utf-8") as handle:
+            handle.write(json.dumps({"type": "campaign", "format_version": 1}) + "\n")
+        with open(journal, "rb") as handle:
+            written = handle.read()
+
+        server = CampaignServer(CampaignService(state, max_concurrent=1), port=0)
+        assert server.start() == 1
+        port = server.address[1]
+        try:
+            snap = wait_for_state(port, None, queued.id, ("completed", "failed"))
+            assert snap["state"] == "failed", snap
+            assert "format version 1" in snap["error"]
+            status, posted = request(port, "POST", "/campaigns", None, FAST_SPEC)
+            assert status == 202, posted
+            fresh = wait_for_state(port, None, posted["id"], ("completed", "failed"))
+            assert fresh["state"] == "completed", fresh
+            assert request(port, "GET", "/healthz")[0] == 200
+        finally:
+            server.drain(grace_s=10.0)
+        with open(journal, "rb") as handle:
+            assert handle.read() == written
+
     def test_interrupted_stream_ends_with_interrupted_record(self, tmp_path):
         """The trial stream terminates (no forever-park) across a drain."""
         state = str(tmp_path / "state")

@@ -328,7 +328,7 @@ class TestOneRecordPerKey:
     def test_result_level_cache_reads_cold_once(self, tmp_path):
         cache = TrialCache(tmp_path / "cache")
         campaign = record_campaign(cache)
-        identity = campaign._cache_identity()
+        identity = campaign._trial_identity()
         for values in space().grid():
             config = Configuration(values)
             write_result_level_entry(cache, cache.key(config, 0, identity), config, 0)
@@ -344,7 +344,7 @@ class TestOneRecordPerKey:
         """The older layout also kept a ``<key>.outcome.json`` per key; the
         store that re-writes the key removes it, leaving one file per key."""
         cache = TrialCache(tmp_path / "cache")
-        identity = record_campaign(cache)._cache_identity()
+        identity = record_campaign(cache)._trial_identity()
         keys = []
         for n, values in enumerate(space().grid()):
             config = Configuration(values)
