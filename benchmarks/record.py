@@ -58,6 +58,8 @@ SCHEMA_VERSION = 1
 DEFAULT_STEPS = 1100
 DEFAULT_ROUNDS = 3
 DEFAULT_THRESHOLD = 0.15
+#: the ``vec8_speedup`` floor; CI's step summary reads it from here
+DEFAULT_MIN_SPEEDUP = 2.0
 
 #: workloads newer than some committed baselines: absent on either side
 #: of a comparison they are informational, never a gate failure
@@ -329,7 +331,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="wall-time samples per workload (min is kept)")
     parser.add_argument("--output", type=str, default=None,
                         help="recording path (default benchmarks/BENCH_<sha>.json)")
-    parser.add_argument("--min-speedup", type=float, default=2.0,
+    parser.add_argument("--min-speedup", type=float, default=DEFAULT_MIN_SPEEDUP,
                         help="required table1 speedup at n_envs=8")
     parser.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD,
                         help="max tolerated per-workload slowdown in compare mode")

@@ -89,22 +89,8 @@ class ResultsTable:
     def completed(self) -> list[TrialResult]:
         return [t for t in self._trials if t.ok]
 
-    def by_trial_id(self, trial_id: int) -> TrialResult:
-        for t in self._trials:
-            if t.trial_id == trial_id:
-                return t
-        raise KeyError(f"no trial with id {trial_id}")
-
     def filter(self, predicate: Callable[[TrialResult], bool]) -> list[TrialResult]:
         return [t for t in self._trials if predicate(t)]
-
-    def objective_matrix(self, only_completed: bool = True) -> tuple[np.ndarray, list[TrialResult]]:
-        """``(n, d)`` objective matrix plus the row-aligned trials."""
-        trials = self.completed() if only_completed else self.trials
-        if not trials:
-            return np.zeros((0, len(self.metrics))), []
-        matrix = np.stack([t.objective_vector(self.metrics) for t in trials])
-        return matrix, trials
 
     def best(self, metric_name: str) -> TrialResult:
         """Completed trial with the best value of one metric."""

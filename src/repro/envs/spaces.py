@@ -133,10 +133,6 @@ class Box(Space):
             return False
         return bool(np.all(arr >= self.low) and np.all(arr <= self.high))
 
-    def clip(self, x: np.ndarray) -> np.ndarray:
-        """Clip ``x`` into the box."""
-        return np.clip(np.asarray(x, dtype=self.dtype), self.low, self.high)
-
     def __repr__(self) -> str:
         return f"Box(low={self.low.min()!r}, high={self.high.max()!r}, shape={self.shape})"
 

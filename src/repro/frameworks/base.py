@@ -531,16 +531,16 @@ class Framework:
         """The ``n`` env slots one training or evaluation loop steps.
 
         Every loop is written once against the vector-env contract,
-        :class:`~repro.envs.VectorEnv`. At
-        ``n_envs > 1`` the slots come from :func:`~repro.envs.make_vec`,
-        the registered native batched env when there is one. At
-        ``n_envs == 1`` each slot is one :func:`~repro.envs.make` env
-        inside a :class:`~repro.envs.SyncVectorEnv`: SAC and one-episode
-        evaluation step a single row per call, and ``Airdrop-v0`` steps
-        one episode as a ``(9,)`` state row of the shared model, whose
-        arithmetic runs on numpy scalars at about a third of the cost
-        of a ``(1, 9)`` batch; the single-env workload keeps stepping
-        ``AirdropEnv`` as the benchmarks expect.
+        :class:`~repro.envs.VectorEnv`, and ``spec.n_envs`` picks only
+        the front behind it. At ``n_envs > 1`` the slots come from
+        :func:`~repro.envs.make_vec`, the registered native batched env
+        when there is one. At ``n_envs == 1`` each slot is one
+        :func:`~repro.envs.make` env inside a
+        :class:`~repro.envs.SyncVectorEnv`, so ``Airdrop-v0`` steps every
+        episode as a ``(9,)`` state row of the shared model, whose
+        arithmetic runs on numpy scalars: SAC's one slot costs about a
+        third of a ``(1, 9)`` batch, and the single-env workload keeps
+        stepping ``AirdropEnv`` as the benchmarks expect.
         """
         if spec.n_envs > 1:
             return make_vec(spec.env_id, n, **spec.env_kwargs)
@@ -971,33 +971,30 @@ class Framework:
         :func:`_episode_score` of ``spec.eval_episodes`` episodes, episode
         ``e`` seeded ``1_000_000 + e``.
 
-        The episodes run in waves, each on a fresh env batch: all at once
-        when ``n_envs > 1``, one at a time when ``n_envs == 1``. A wave
-        steps exactly its unfinished episodes: each env step makes one
-        ``act`` call over them, and an episode that ends leaves the batch
+        Every episode runs in one wave on one env batch, whatever the
+        front :meth:`_env_batch` builds. The wave steps exactly its
+        unfinished episodes: each env step makes one ``act`` call over
+        them, and an episode that ends is scored and leaves the batch
         (:meth:`~repro.envs.VectorEnv.drop`). Deterministic acting draws
         no randomness and is row-exact (:meth:`repro.rl.nn.MLP.forward_rows`),
         and a kept slot steps on as it would beside the dropped ones, so
-        an episode gets the same actions, and the same score, whatever
-        the width.
+        an episode gets the same actions, and the same score, as it
+        would alone.
         """
-        n = spec.eval_episodes
-        width = n if spec.n_envs > 1 else 1
-        scores = [0.0] * n
-        for first in range(0, n, width):
-            venv = self._env_batch(spec, width)
-            map_action = _space_action_mapper(venv.single_action_space)
-            episodes = list(range(first, first + width))
-            obs, _ = venv.reset(seed=[1_000_000 + e for e in episodes])
-            while episodes:
-                actions = agent.act(obs, deterministic=True)["action"]
-                obs, _, terms, truncs, infos = venv.step(map_action(actions))
-                done = terms | truncs
-                if done.any():
-                    ended = np.flatnonzero(done)
-                    for i in ended:
-                        scores[episodes[i]] = _episode_score(infos[i])
-                    venv.drop(ended)
-                    obs = obs[~done]
-                    episodes = [e for e, d in zip(episodes, done, strict=True) if not d]
+        episodes = list(range(spec.eval_episodes))
+        scores = [0.0] * len(episodes)
+        venv = self._env_batch(spec, len(episodes))
+        map_action = _space_action_mapper(venv.single_action_space)
+        obs, _ = venv.reset(seed=[1_000_000 + e for e in episodes])
+        while episodes:
+            actions = agent.act(obs, deterministic=True)["action"]
+            obs, _, terms, truncs, infos = venv.step(map_action(actions))
+            done = terms | truncs
+            if done.any():
+                ended = np.flatnonzero(done)
+                for i in ended:
+                    scores[episodes[i]] = _episode_score(infos[i])
+                venv.drop(ended)
+                obs = obs[~done]
+                episodes = [e for e, d in zip(episodes, done, strict=True) if not d]
         return float(np.mean(scores))

@@ -27,7 +27,6 @@ from .events import (
     NULL_SINK,
     Event,
     JsonlSink,
-    MultiSink,
     NullSink,
     RingBufferSink,
     Sink,
@@ -51,7 +50,6 @@ __all__ = [
     "NULL_SINK",
     "RingBufferSink",
     "JsonlSink",
-    "MultiSink",
     "EVT_CAMPAIGN_STARTED",
     "EVT_CAMPAIGN_FINISHED",
     "EVT_TRIAL_STARTED",

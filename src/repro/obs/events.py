@@ -27,7 +27,7 @@ import json
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import Any
 
 __all__ = [
     "EVT_CAMPAIGN_STARTED",
@@ -51,7 +51,6 @@ __all__ = [
     "NULL_SINK",
     "RingBufferSink",
     "JsonlSink",
-    "MultiSink",
 ]
 
 EVT_CAMPAIGN_STARTED = "campaign_started"
@@ -168,21 +167,6 @@ class JsonlSink(Sink):
         if not self._handle.closed:
             self._handle.flush()
             self._handle.close()
-
-
-class MultiSink(Sink):
-    """Fans every record out to several sinks."""
-
-    def __init__(self, sinks: Iterable[Sink]) -> None:
-        self.sinks = list(sinks)
-
-    def emit(self, record: dict[str, Any]) -> None:
-        for sink in self.sinks:
-            sink.emit(record)
-
-    def close(self) -> None:
-        for sink in self.sinks:
-            sink.close()
 
 
 def _json_default(value: Any) -> Any:

@@ -36,6 +36,9 @@ accepting work, trips every running campaign's stop flag (the campaign
 checkpoints its committed prefix via the journal) and marks those jobs
 ``interrupted``; the next ``repro serve`` on the same ``state_dir``
 re-enqueues them and the journal replays everything already paid for.
+A journal the campaign refuses (written by another build or journal
+format) is moved aside to ``<id>.journal.refused-<restarts>.jsonl``,
+bytes untouched, and the job runs its stored spec from the start.
 
 Request threads never sleep or park on campaign completion (lint rule
 RPR009): long waits are chunked streams built from bounded waits.
@@ -61,7 +64,7 @@ from ..core import (
     trial_to_dict,
 )
 from ..core.campaign import DecisionReport
-from ..exec import CampaignJournal, RetryPolicy, TrialCache, atomic_write
+from ..exec import CampaignJournal, JournalMismatch, RetryPolicy, TrialCache, atomic_write
 from ..faults import FaultPlan
 from ..obs import JsonlSink, MeterRegistry, Telemetry, chrome_trace, load_records
 from ..paper import EXPLORERS, Scale, make_explorer, table1_campaign
@@ -389,17 +392,18 @@ class CampaignService:
     def _run_job(self, job: Job) -> None:
         job.mark("running")
         self._persist(job)
-        # one telemetry log per serving session: JsonlSink truncates, so
-        # the trace endpoint covers the current incarnation's work (the
-        # journal, not the trace, is the durability mechanism)
-        telemetry = Telemetry(JsonlSink(self._path(job.id, "telemetry.jsonl")))
         try:
-            campaign = self._build_campaign(job, telemetry)
-
-            def progress(trial: Any, n_done: int) -> None:
-                job.append_trial(trial_to_dict(trial))
-
-            report = campaign.run(progress=progress, stop=job.stop_requested)
+            try:
+                report = self._run_campaign(job)
+            except JournalMismatch:
+                # written by another build or journal format: none of its
+                # trials can be replayed, so keep its bytes beside the job
+                # and run the stored spec over a fresh journal
+                os.replace(
+                    self._path(job.id, "journal.jsonl"),
+                    self._path(job.id, f"journal.refused-{job.restarts}.jsonl"),
+                )
+                report = self._run_campaign(job)
             job.n_replayed = int(report.meta.get("n_replayed", 0))
             if report.meta.get("interrupted"):
                 job.mark("interrupted")
@@ -408,8 +412,22 @@ class CampaignService:
         except Exception as exc:  # noqa: BLE001 - job failure is data, not a crash
             job.mark("failed", error=f"{type(exc).__name__}: {exc}")
         finally:
-            telemetry.close()
             self._persist(job)
+
+    def _run_campaign(self, job: Job) -> DecisionReport:
+        # one telemetry log per run: JsonlSink truncates, so the trace
+        # endpoint covers the current incarnation's work (the journal,
+        # not the trace, is the durability mechanism)
+        telemetry = Telemetry(JsonlSink(self._path(job.id, "telemetry.jsonl")))
+        try:
+            campaign = self._build_campaign(job, telemetry)
+
+            def progress(trial: Any, n_done: int) -> None:
+                job.append_trial(trial_to_dict(trial))
+
+            return campaign.run(progress=progress, stop=job.stop_requested)
+        finally:
+            telemetry.close()
 
     def _complete(self, job: Job, report: DecisionReport) -> None:
         fingerprint = table_fingerprint(report.table)

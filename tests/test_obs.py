@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
+import repro
 from repro.core import (
     Campaign,
     Categorical,
@@ -28,14 +33,15 @@ from repro.obs import (
     EVT_TRIAL_PRUNED,
     EVT_TRIAL_STARTED,
     NULL_TELEMETRY,
+    Histogram,
     JsonlSink,
     MeterRegistry,
-    MultiSink,
     RingBufferSink,
     SpanTracer,
     Telemetry,
     load_records,
 )
+from repro.obs.meters import _percentile
 
 
 def space():
@@ -114,18 +120,10 @@ class TestSinks:
         assert records[0]["fields"] == {"x": 1}
 
     def test_jsonl_coerces_numpy(self, tmp_path):
-        import numpy as np
-
         path = str(tmp_path / "log.jsonl")
         with JsonlSink(path) as sink:
             sink.emit({"type": "event", "name": "np", "fields": {"v": np.float64(2.5)}})
         assert load_records(path)[0]["fields"]["v"] == 2.5
-
-    def test_multi_sink_fans_out(self):
-        a, b = RingBufferSink(), RingBufferSink()
-        multi = MultiSink([a, b])
-        multi.emit({"type": "event", "name": "x"})
-        assert len(a.records) == 1 and len(b.records) == 1
 
 
 # --------------------------------------------------------------------- spans
@@ -203,6 +201,53 @@ class TestMeters:
         reg.counter("n").inc()
         reg.histogram("h").observe(1.5)
         json.dumps(reg.snapshot())
+
+    def test_percentiles_equal_numpy_bit_for_bit(self):
+        """numpy's default (linear) percentile, ties and both ends of the
+        range included, from one to a thousand observations."""
+        rng = np.random.default_rng(0)
+        for size in [*range(1, 40), 100, 1000]:
+            for values in (
+                rng.standard_normal(size) * 10.0 ** rng.integers(-6, 7),
+                rng.integers(0, 4, size).astype(float),
+            ):
+                for q in (0, 12.5, 50, 95, 99.9, 100):
+                    expected = np.percentile(values, q)
+                    assert _percentile(np.sort(values), q) == expected, (size, q)
+                hist = Histogram()
+                for value in values:
+                    hist.observe(value)
+                snap = hist.snapshot()
+                assert snap["p50"] == np.percentile(values, 50)
+                assert snap["p95"] == np.percentile(values, 95)
+
+    def test_percentiles_of_nan_and_infinity_follow_numpy(self):
+        for values in ([1.0, np.inf], [-np.inf, 1.0], [np.inf, np.inf], [2.0, np.nan, 1.0]):
+            for q in (0, 12.5, 50, 95, 100):
+                with np.errstate(invalid="ignore"):
+                    expected = float(np.percentile(values, q))
+                    got = _percentile(np.sort(values), q)
+                assert repr(got) == repr(expected), (values, q)
+
+    def test_snapshot_leaves_numpy_ma_unimported(self):
+        """np.percentile would import all of numpy.ma (about 1 MB of
+        resident memory) into every process that snapshots telemetry."""
+        code = (
+            "import sys\n"
+            "from repro.obs import MeterRegistry\n"
+            "reg = MeterRegistry()\n"
+            "for value in (3.0, 1.0, 2.0):\n"
+            "    reg.histogram('h').observe(value)\n"
+            "reg.snapshot()\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            check=True, timeout=60,
+        )
+        assert out.stdout.strip() == "False"
 
 
 # ----------------------------------------------------------------- telemetry

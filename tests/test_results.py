@@ -63,27 +63,10 @@ class TestResultsTable:
     def test_completed_filters(self):
         assert len(self.make().completed()) == 2
 
-    def test_by_trial_id(self):
-        table = self.make()
-        assert table.by_trial_id(2).objectives["reward"] == -0.3
-        with pytest.raises(KeyError):
-            table.by_trial_id(42)
-
     def test_filter(self):
         table = self.make()
         fast = table.filter(lambda t: t.ok and t.objectives["time"] < 70)
         assert [t.trial_id for t in fast] == [1]
-
-    def test_objective_matrix(self):
-        matrix, trials = self.make().objective_matrix()
-        assert matrix.shape == (2, 2)
-        assert [t.trial_id for t in trials] == [1, 2]
-
-    def test_objective_matrix_empty(self):
-        table = ResultsTable(metrics())
-        matrix, trials = table.objective_matrix()
-        assert matrix.shape == (0, 2)
-        assert trials == []
 
     def test_best(self):
         table = self.make()

@@ -57,13 +57,12 @@ class TestRoundTrip:
         # numpy ints must become JSON-safe
         json.dumps(payload)
         loaded = table_from_dict(payload)
-        assert len(loaded) == 2
-        t1 = loaded.by_trial_id(1)
+        assert [t.trial_id for t in loaded] == [1, 2]
+        t1, t2 = loaded
         assert t1.objectives == {"reward": -0.5, "time": 60.0}
         assert t1.measurements["extra"] == 1.5
         assert t1.seed == 7
         assert t1.config["fw"] == "stable"
-        t2 = loaded.by_trial_id(2)
         assert t2.status == TrialStatus.FAILED
 
     def test_metric_definitions_roundtrip(self):

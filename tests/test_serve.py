@@ -455,15 +455,24 @@ class TestDrainRestart:
         finally:
             server2.drain(grace_s=10.0)
 
-    def test_restart_over_a_format_version_1_journal_fails_that_job_only(self, tmp_path):
-        """A journal whose header predates the whole campaign identity is
-        refused: the re-enqueued job ends failed naming the version, its
-        journal is left as it was, and the server keeps serving."""
+    @pytest.mark.parametrize(
+        "header",
+        [json.dumps({"type": "campaign", "format_version": 1}), '{"type": "camp'],
+        ids=["format_version_1", "torn_header"],
+    )
+    def test_restart_over_a_refused_journal_sets_it_aside_and_starts_over(
+        self, header, tmp_path
+    ):
+        """A journal the campaign refuses cannot be replayed: one whose
+        header predates the whole campaign identity (refused when the
+        campaign opens it) or cannot be read (refused on load). The
+        re-enqueued job moves it aside untouched and runs its stored spec
+        from the start, to the table a fresh submission gives."""
         state = str(tmp_path / "state")
         queued = CampaignService(state).submit(OPEN_TENANT, FAST_SPEC)  # never started
         journal = os.path.join(state, f"{queued.id}.journal.jsonl")
         with open(journal, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps({"type": "campaign", "format_version": 1}) + "\n")
+            handle.write(header + "\n")
         with open(journal, "rb") as handle:
             written = handle.read()
 
@@ -472,17 +481,19 @@ class TestDrainRestart:
         port = server.address[1]
         try:
             snap = wait_for_state(port, None, queued.id, ("completed", "failed"))
-            assert snap["state"] == "failed", snap
-            assert "format version 1" in snap["error"]
+            assert snap["state"] == "completed", snap
+            assert snap["n_trials_done"] == 2 and "n_replayed" not in snap
             status, posted = request(port, "POST", "/campaigns", None, FAST_SPEC)
             assert status == 202, posted
             fresh = wait_for_state(port, None, posted["id"], ("completed", "failed"))
             assert fresh["state"] == "completed", fresh
+            assert snap["fingerprint"] == fresh["fingerprint"]
             assert request(port, "GET", "/healthz")[0] == 200
         finally:
             server.drain(grace_s=10.0)
-        with open(journal, "rb") as handle:
+        with open(os.path.join(state, f"{queued.id}.journal.refused-1.jsonl"), "rb") as handle:
             assert handle.read() == written
+        assert len(list(CampaignJournal.committed_trials(journal))) == 2
 
     def test_interrupted_stream_ends_with_interrupted_record(self, tmp_path):
         """The trial stream terminates (no forever-park) across a drain."""

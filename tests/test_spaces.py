@@ -47,11 +47,6 @@ class TestBox:
         for _ in range(20):
             assert np.all(box.sample(rng) <= 0.0)
 
-    def test_clip(self):
-        box = Box(-1, 1, shape=(2,))
-        out = box.clip(np.array([-5.0, 5.0]))
-        assert np.allclose(out, [-1.0, 1.0])
-
     def test_equality(self):
         assert Box(-1, 1, shape=(2,)) == Box(-1, 1, shape=(2,))
         assert Box(-1, 1, shape=(2,)) != Box(-1, 2, shape=(2,))

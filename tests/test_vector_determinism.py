@@ -21,10 +21,10 @@ import numpy as np
 import pytest
 
 import repro.classic  # noqa: F401  (registers Pendulum-v0 and CartPole-v0)
-from repro.airdrop import AirdropVectorEnv
+from repro.airdrop import AirdropEnv, AirdropVectorEnv
 from repro.core import RandomSearch
 from repro.core.serialization import table_fingerprint
-from repro.envs import make, make_vec
+from repro.envs import SyncVectorEnv, make, make_vec
 from repro.frameworks import Framework, TrainSpec, get_framework
 from repro.frameworks.base import _space_action_mapper
 from repro.obs import RingBufferSink, Telemetry
@@ -114,6 +114,29 @@ def _perturbed(agent):
     return agent
 
 
+def _one_episode_at_a_time(env_id: str, agent, n_episodes: int):
+    """Evaluation written as the plainest loop: each episode alone on a
+    fresh env, one ``act`` call per step, scored by its landing score
+    when it has one, else by its return. Returns the mean score and the
+    episode lengths."""
+    scores, lengths = [], []
+    for episode in range(n_episodes):
+        env = make(env_id)
+        map_action = _space_action_mapper(env.action_space)
+        obs, _ = env.reset(seed=1_000_000 + episode)
+        episode_return, steps, done = 0.0, 0, False
+        while not done:
+            row = np.asarray(obs, dtype=np.float64)[None]
+            action = map_action(agent.act(row, deterministic=True)["action"])[0]
+            obs, reward, terminated, truncated, info = env.step(action)
+            episode_return += float(reward)
+            steps += 1
+            done = terminated or truncated
+        scores.append(float(info.get("landing_score", episode_return)))
+        lengths.append(steps)
+    return float(np.mean(scores)), lengths
+
+
 @pytest.mark.parametrize(
     "env_id,make_agent",
     [
@@ -140,13 +163,13 @@ def _perturbed(agent):
 )
 def test_evaluation_width_changes_no_score(env_id, make_agent):
     # Airdrop-v0 has a native batched env, Pendulum-v0 and CartPole-v0 go
-    # through SyncVectorEnv; n_envs=1 runs the 30 episodes one at a time
-    # on one scalar env, n_envs=8 all at once, dropping each as it ends
+    # through SyncVectorEnv; at either width the 30 episodes run as one
+    # wave that drops each episode as it ends, and score as they do alone
     agent = make_agent()
+    alone, _ = _one_episode_at_a_time(env_id, agent, 30)
     fw = get_framework("rllib")
-    one_at_a_time = fw._evaluate(_spec("ppo", env_id=env_id, n_envs=1), agent)
-    all_at_once = fw._evaluate(_spec("ppo", env_id=env_id, n_envs=8), agent)
-    assert one_at_a_time == all_at_once
+    for n_envs in (1, 8):
+        assert fw._evaluate(_spec("ppo", env_id=env_id, n_envs=n_envs), agent) == alone, n_envs
 
 
 @pytest.mark.parametrize("n_envs", [1, 8])
@@ -154,17 +177,7 @@ def test_evaluation_steps_only_unfinished_episodes(n_envs, monkeypatch):
     """The rows a wave steps are the sum of its episodes' lengths: a
     finished episode is not flown on until the longest one lands."""
     agent = _perturbed(PPOAgent(13, 1, seed=1))
-    env = make("Airdrop-v0")
-    map_action = _space_action_mapper(env.action_space)
-    lengths = []
-    for episode in range(6):
-        obs, _ = env.reset(seed=1_000_000 + episode)
-        done, steps = False, 0
-        while not done:
-            action = map_action(agent.act(obs, deterministic=True)["action"])[0]
-            obs, _, terminated, truncated, _ = env.step(action)
-            done, steps = terminated or truncated, steps + 1
-        lengths.append(steps)
+    _, lengths = _one_episode_at_a_time("Airdrop-v0", agent, 6)
     assert len(set(lengths)) > 1, "every episode had the same length"
 
     rows: list[int] = []
@@ -184,6 +197,37 @@ def test_evaluation_steps_only_unfinished_episodes(n_envs, monkeypatch):
     monkeypatch.setattr(Framework, "_env_batch", staticmethod(counting_batch))
     get_framework("rllib")._evaluate(_spec("ppo", n_envs=n_envs, eval_episodes=6), agent)
     assert sum(rows) == sum(lengths)
+
+
+def test_evaluation_at_n_envs_1_is_one_wave_of_single_envs(monkeypatch):
+    """n_envs=1 picks only the front: one batch of AirdropEnv slots, and
+    one act call per step of the longest episode over every running one."""
+    agent = _perturbed(PPOAgent(13, 1, seed=1))
+    _, lengths = _one_episode_at_a_time("Airdrop-v0", agent, 6)
+    assert len(set(lengths)) > 1, "every episode had the same length"
+
+    batches = []
+    env_batch = Framework._env_batch
+
+    def recording_batch(spec: TrainSpec, n: int):
+        batches.append(env_batch(spec, n))
+        return batches[-1]
+
+    calls: list[int] = []
+    act = agent.act
+
+    def counted_act(obs, deterministic=False):
+        calls.append(len(obs))
+        return act(obs, deterministic=deterministic)
+
+    monkeypatch.setattr(Framework, "_env_batch", staticmethod(recording_batch))
+    monkeypatch.setattr(agent, "act", counted_act)
+    get_framework("rllib")._evaluate(_spec("ppo", n_envs=1, eval_episodes=6), agent)
+    assert len(batches) == 1
+    assert isinstance(batches[0], SyncVectorEnv)
+    assert all(isinstance(env, AirdropEnv) for env in batches[0].envs)
+    assert len(calls) == max(lengths)
+    assert sum(calls) == sum(lengths)
 
 
 def test_vectorized_width_is_seed_deterministic():
