@@ -321,7 +321,6 @@ class Campaign:
                             pruner=self.pruner,
                             pass_telemetry=self._pass_telemetry,
                             telemetry_on=telem.enabled,
-                            telemetry=telem if executor.shares_telemetry else None,
                             timeout_s=self.trial_timeout,
                             cache_key=key if cached is None else None,
                         )
@@ -368,6 +367,7 @@ class Campaign:
                         outcomes = []
 
                     for outcome in outcomes:
+                        self._fold_telemetry(outcome, executor)
                         task = tasks[outcome.seq]
                         if outcome.retryable and self.retry.should_retry(outcome.attempt):
                             n_retried += 1
@@ -514,6 +514,24 @@ class Campaign:
             return make_executor(self.executor, self.max_workers)
         return self.executor
 
+    def _fold_telemetry(self, outcome: TrialOutcome, executor: Executor) -> None:
+        """Fold one attempt's records and meters into the campaign's.
+
+        Called once per polled outcome, before the retry decision, so a
+        retried attempt's records reach the sink under every executor.
+        Span ids are re-based onto this tracer's, and an out-of-process
+        attempt's clocks are shifted onto this process's.
+        """
+        telem = self.telemetry
+        if not telem.enabled:
+            return
+        delta = 0.0
+        if not executor.in_process:
+            delta = outcome.clock_offset - (time.time() - time.perf_counter())
+        telem.merge_records(outcome.records, worker=outcome.worker, clock_delta=delta)
+        if outcome.meters is not None:
+            telem.meters.merge(outcome.meters)
+
     def _commit(
         self,
         entry: "TrialOutcome | _Replay",
@@ -545,14 +563,6 @@ class Campaign:
         outcome = entry
         config = task.config
         self.explorer.clear_pending(config)
-        if telem.enabled and not executor.shares_telemetry:
-            # buffered worker records: re-base clocks/span ids and fold in
-            delta = 0.0
-            if not executor.in_process:
-                delta = outcome.clock_offset - (time.time() - time.perf_counter())
-            telem.merge_records(outcome.records, worker=outcome.worker, clock_delta=delta)
-            if outcome.meters is not None:
-                telem.meters.merge(outcome.meters)
         if outcome.checkpoints and (from_cache or not executor.in_process):
             # the live pruner never saw this curve: a hit did not run, a
             # child only had a pruner snapshot; replay it here

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .pareto import crowding_distance, knee_point, non_dominated_mask, pareto_fronts
+from .pareto import crowding_distance, knee_point, pareto_fronts
 from .results import ResultsTable, TrialResult
 
 __all__ = [
@@ -129,15 +129,6 @@ class ParetoFrontRanking(RankingMethod):
             ordered=ordered,
             annotations=annotations,
         )
-
-    def front_mask(self, table: ResultsTable) -> np.ndarray:
-        """Convenience: boolean non-dominated mask over completed trials."""
-        trials = self._require_completed(table)
-        metrics = [table.metrics[n] for n in self.metric_names]
-        points = np.array(
-            [[t.objectives[m.name] for m in metrics] for t in trials], dtype=np.float64
-        )
-        return non_dominated_mask(points, [m.direction for m in metrics])
 
 
 class SortedTableRanking(RankingMethod):

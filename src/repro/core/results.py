@@ -7,8 +7,6 @@ import io
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
-import numpy as np
-
 from .configuration import Configuration
 from .metrics import MetricSet
 from .parameters import ParameterSpace
@@ -47,9 +45,6 @@ class TrialResult:
     @property
     def ok(self) -> bool:
         return self.status == TrialStatus.COMPLETED
-
-    def objective_vector(self, metrics: MetricSet) -> np.ndarray:
-        return np.array([self.objectives[m.name] for m in metrics], dtype=np.float64)
 
     def describe(self, metrics: MetricSet | None = None) -> str:
         parts = [self.config.describe()]

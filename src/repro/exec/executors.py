@@ -14,11 +14,12 @@ journaling). The contract is deliberately tiny:
 ``shutdown()``
     release workers (also via context manager).
 
-Two capability flags tell the campaign how much state is shared:
+One capability flag tells the campaign how much state is shared:
 ``in_process`` (the pruner and case study are the campaign's own
-objects — live checkpoint reporting, mutations visible) and
-``shares_telemetry`` (records stream directly through the campaign's
-``Telemetry`` instead of being buffered and merged at commit).
+objects — live checkpoint reporting, mutations visible). Telemetry
+takes one path under every executor: each attempt records into its own
+``Telemetry`` and ships the records home on its outcome (see
+:mod:`repro.exec.payload`).
 
 Fault containment: the process executor runs **one OS process per
 in-flight trial**, so a crashing or hung trial is terminated without
@@ -56,8 +57,6 @@ class Executor:
     name: str = "executor"
     #: True when trials run inside the campaign process (shared memory)
     in_process: bool = True
-    #: True when the campaign telemetry object is used directly
-    shares_telemetry: bool = False
 
     def __init__(self, max_workers: int = 1) -> None:
         if max_workers < 1:
@@ -98,7 +97,6 @@ class SerialExecutor(Executor):
 
     name = "serial"
     in_process = True
-    shares_telemetry = True
 
     def __init__(self, max_workers: int = 1) -> None:
         super().__init__(max_workers=1)
@@ -131,7 +129,6 @@ class ThreadExecutor(Executor):
 
     name = "thread"
     in_process = True
-    shares_telemetry = False
 
     def __init__(self, max_workers: int = 4) -> None:
         super().__init__(max_workers)
@@ -192,13 +189,12 @@ class ProcessExecutor(Executor):
     ``"forkserver"``); the platform default is used when ``None``.
     Payloads are kept spawn-safe either way.
 
-    Note: the case study runs on a *copy* — in-child mutations (e.g.
-    ``AirdropCaseStudy.results``) do not propagate to the campaign.
+    Note: the case study runs on a *copy* — in-child mutations do not
+    propagate to the campaign.
     """
 
     name = "process"
     in_process = False
-    shares_telemetry = False
 
     def __init__(self, max_workers: int = 4, mp_context: str | None = None) -> None:
         super().__init__(max_workers)

@@ -8,13 +8,13 @@ every executor runs — in the campaign's own thread, in a pool thread,
 or in a spawned worker process — and returns a :class:`TrialOutcome`
 the campaign turns back into a :class:`~repro.core.results.TrialResult`.
 
-Telemetry crosses the boundary by *buffering*: out-of-band workers
-(threads, processes) record into a private :class:`RingBufferSink` and
-ship the records home inside the outcome; the campaign re-bases their
-span ids and clocks into its own stream at commit time
-(:meth:`repro.obs.Telemetry.merge_records`). The serial executor keeps
-the historical direct path — the campaign's own ``Telemetry`` object is
-attached to the task and records stream straight through it.
+Telemetry crosses the boundary by *buffering*, whatever the executor:
+each trial attempt records into its own :class:`Telemetry` over a
+private :class:`RingBufferSink` and ships the records and meters home
+inside the outcome; the campaign folds every attempt into its own
+stream when it polls the outcome, re-basing span ids and clocks and
+tagging each record with the worker that produced it
+(:meth:`repro.obs.Telemetry.merge_records`).
 """
 
 from __future__ import annotations
@@ -63,8 +63,7 @@ class TrialTask:
     ``pruner`` is a live shared object under in-process executors and a
     pickled snapshot under the process executor (the campaign replays
     the child's checkpoints into its own pruner afterwards, see
-    :meth:`~repro.core.pruning.Pruner.absorb`). ``telemetry`` is only
-    attached by the serial executor path — it is never pickled.
+    :meth:`~repro.core.pruning.Pruner.absorb`).
     """
 
     seq: int
@@ -75,8 +74,6 @@ class TrialTask:
     attempt: int = 0
     pass_telemetry: bool = False
     telemetry_on: bool = False
-    #: campaign telemetry for the direct (serial) path; None => buffer
-    telemetry: Any = None
     timeout_s: float | None = None
     #: pid of the submitting process, for worker attribution
     origin_pid: int = field(default_factory=os.getpid)
@@ -88,7 +85,7 @@ class TrialTask:
 
     def retry(self) -> "TrialTask":
         """The same task, one attempt later."""
-        return replace(self, attempt=self.attempt + 1, telemetry=self.telemetry)
+        return replace(self, attempt=self.attempt + 1)
 
 
 @dataclass
@@ -110,9 +107,9 @@ class TrialOutcome:
     exception: BaseException | None = None
     #: (step, value) learning-curve reports made during the attempt
     checkpoints: list[tuple[int, float]] = field(default_factory=list)
-    #: buffered telemetry records (out-of-band workers only)
+    #: the attempt's telemetry records (empty when telemetry is off)
     records: list[dict[str, Any]] = field(default_factory=list)
-    #: per-trial meter registry (out-of-band workers only)
+    #: the attempt's meter registry (None when telemetry is off)
     meters: MeterRegistry | None = None
     #: wall-minus-monotonic clock offset of the producing process
     clock_offset: float = 0.0
@@ -138,20 +135,15 @@ def _worker_label(task: TrialTask) -> str:
 def execute_trial(task: TrialTask) -> TrialOutcome:
     """Run one trial attempt; never raises (errors become outcomes).
 
-    The structure mirrors the historical ``Campaign._run_trial``: emit
-    ``trial_started``, wrap the evaluation in a ``trial`` span, report
-    learning-curve checkpoints to the pruner, and emit the terminal
-    lifecycle event. Under buffered telemetry the records accumulate in
-    a private sink shipped home on the outcome.
+    Emit ``trial_started``, wrap the evaluation in a ``trial`` span,
+    report learning-curve checkpoints to the pruner, and emit the
+    terminal lifecycle event. With ``task.telemetry_on`` the attempt
+    records into its own :class:`Telemetry`, whose records and meters
+    travel home on the outcome; otherwise into the disabled one.
     """
     worker = _worker_label(task)
-    buffered = task.telemetry is None and task.telemetry_on
-    if buffered:
-        sink = RingBufferSink()
-        telem = Telemetry(sink)
-    else:
-        sink = None
-        telem = Telemetry.or_null(task.telemetry)
+    sink = RingBufferSink() if task.telemetry_on else None
+    telem = Telemetry(sink) if sink is not None else Telemetry.disabled()
 
     config = task.config
     trial_id = config.trial_id
@@ -169,8 +161,22 @@ def execute_trial(task: TrialTask) -> TrialOutcome:
             return True
         return False
 
+    def outcome(status: str, duration: float, **fields: Any) -> TrialOutcome:
+        return TrialOutcome(
+            seq=task.seq,
+            trial_id=trial_id,
+            attempt=task.attempt,
+            status=status,
+            duration_s=duration,
+            checkpoints=checkpoints,
+            records=sink.records if sink is not None else [],
+            meters=telem.meters if sink is not None else None,
+            clock_offset=time.time() - time.perf_counter(),
+            worker=worker,
+            **fields,
+        )
+
     telem.set_context(trial_id=trial_id, seed=task.seed)
-    trial_meters = telem.push_meters()
     telem.event(EVT_TRIAL_STARTED, config=config.as_dict(), attempt=task.attempt)
     kwargs: dict[str, Any] = {"progress": progress_hook}
     if task.pass_telemetry:
@@ -182,44 +188,18 @@ def execute_trial(task: TrialTask) -> TrialOutcome:
     except Exception as exc:  # noqa: BLE001 - the campaign survives bad trials
         duration = time.perf_counter() - start
         telem.event(EVT_TRIAL_FAILED, error=repr(exc), duration_s=duration)
-        telem.pop_meters()
-        telem.clear_context("trial_id", "seed")
         # the exception object itself only travels within the process
         # (pickling arbitrary exceptions across the boundary is unsafe)
         in_process = os.getpid() == task.origin_pid
-        return TrialOutcome(
-            seq=task.seq,
-            trial_id=trial_id,
-            attempt=task.attempt,
-            status="failed",
-            duration_s=duration,
+        return outcome(
+            "failed",
+            duration,
             error=repr(exc),
             traceback=traceback.format_exc(),
             error_extras=_exception_extras(exc),
             exception=exc if in_process else None,
-            checkpoints=checkpoints,
-            records=sink.records if sink is not None else [],
-            meters=trial_meters if task.telemetry_on else None,
-            clock_offset=time.time() - time.perf_counter(),
-            worker=worker,
         )
     duration = time.perf_counter() - start
-    telem.event(
-        EVT_TRIAL_PRUNED if pruned else EVT_TRIAL_FINISHED,
-        duration_s=duration,
-    )
-    telem.pop_meters()
-    telem.clear_context("trial_id", "seed")
-    return TrialOutcome(
-        seq=task.seq,
-        trial_id=trial_id,
-        attempt=task.attempt,
-        status="pruned" if pruned else "completed",
-        measurements=measurements,
-        duration_s=duration,
-        checkpoints=checkpoints,
-        records=sink.records if sink is not None else [],
-        meters=trial_meters if task.telemetry_on else None,
-        clock_offset=time.time() - time.perf_counter(),
-        worker=worker,
-    )
+    status = "pruned" if pruned else "completed"
+    telem.event(EVT_TRIAL_PRUNED if pruned else EVT_TRIAL_FINISHED, duration_s=duration)
+    return outcome(status, duration, measurements=measurements)

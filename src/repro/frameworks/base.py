@@ -276,12 +276,9 @@ class Framework:
 
     #: framework-default PPO overrides, applied only when the spec carries
     #: the stock :class:`PPOConfig` (real frameworks ship different
-    #: defaults — TF-Agents runs fewer SGD epochs, RLlib trains on larger
-    #: batches — and the paper ran each framework at its defaults)
+    #: defaults — TF-Agents runs fewer SGD epochs — and the paper ran
+    #: each framework at its defaults)
     ppo_defaults: dict[str, Any] = {}
-    #: multiplier on the spec's train batch (RLlib defaults to larger
-    #: train batches than the single-node frameworks)
-    batch_multiplier: int = 1
     #: in the on-policy DAG, rollout ``k`` waits for the weights of update
     #: ``k - policy_lag``. The training loop's lagged groups act on the
     #: weights of two updates earlier whatever this says.
@@ -333,7 +330,7 @@ class Framework:
         return spec.ppo
 
     def effective_batch(self, spec: TrainSpec) -> int:
-        return spec.train_batch_size * self.batch_multiplier
+        return spec.train_batch_size
 
     def _seed(self, spec: TrainSpec, stream: str) -> int:
         """Deterministic per-(framework, spec-seed, stream) seed."""
@@ -573,7 +570,7 @@ class Framework:
         the segment inside the update.
         """
         telem = Telemetry.or_null(telemetry)
-        meters = telem.trial_meters
+        meters = telem.meters
         layout = self.layout(spec)
         n_workers = layout.n_workers
         n_envs = self._envs_per_worker(spec)
@@ -792,7 +789,7 @@ class Framework:
         discarded: the consumed step budget does not depend on the width.
         """
         telem = Telemetry.or_null(telemetry)
-        meters = telem.trial_meters
+        meters = telem.meters
         n_envs = spec.n_envs
         venv = self._env_batch(spec, n_envs)
         obs_dim = int(np.prod(venv.single_observation_space.shape))
@@ -950,7 +947,7 @@ class Framework:
             telem.emit_records(
                 cost.trace.to_records(framework=self.name, algorithm=spec.algorithm)
             )
-            meters = telem.trial_meters
+            meters = telem.meters
             meters.counter("episodes").inc(len(landings))
             meters.gauge("virtual_makespan_s").set(cost.trace.makespan)
             meters.gauge("bytes_transferred").set(cost.trace.bytes_transferred())

@@ -49,8 +49,8 @@ Observability: fleet transitions are telemetry events
 meters track the fleet; :meth:`RemoteExecutor.fleet_state` returns a
 JSON-safe snapshot for operators and CI artifacts. Per-worker Perfetto
 lanes come for free: each outcome carries its worker's name and clock
-offset, and the campaign's existing ``merge_records`` re-bases them at
-commit.
+offset, and the campaign's ``merge_records`` re-bases them when it polls
+the outcome, as it does for every executor.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ import socket
 import threading
 import time
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any
 
 from ..exec.cache import code_version_tag
@@ -158,7 +158,6 @@ class RemoteExecutor(Executor):
 
     name = "remote"
     in_process = False
-    shares_telemetry = False
 
     def __init__(
         self,
@@ -612,7 +611,7 @@ class RemoteExecutor(Executor):
                     "type": "task",
                     "seq": seq,
                     "attempt": task.attempt,
-                    "payload": encode_payload(replace(task, telemetry=None)),
+                    "payload": encode_payload(task),
                 }
                 try:
                     # repro-lint: disable=RPR203 -- slot accounting and the send must be atomic or a racing reaper double-dispatches the seq; send_frame arms a socket timeout so the hold is bounded
@@ -798,7 +797,7 @@ class RemoteExecutor(Executor):
                     continue
                 self._assigned[seq] = LOCAL_FALLBACK
             try:
-                outcome = execute_trial(replace(task, telemetry=None))
+                outcome = execute_trial(task)
             except Exception as exc:  # noqa: BLE001 - keep the campaign alive
                 outcome = TrialOutcome(
                     seq=seq,

@@ -7,9 +7,9 @@ the two clocks apart:
 
 * **pid 1 — "real-time (host)"**: the span tracer's real wall-clock
   phases (``trial`` → ``rollout``/``update``/``weight_sync``) as ``X``
-  complete events on one thread (the campaign is sequential, so Chrome's
-  time-containment nesting reproduces the span hierarchy), plus every
-  structured event as an ``i`` instant;
+  complete events, one thread per worker (each worker runs its trials
+  one at a time, so Chrome's time-containment nesting reproduces the
+  span hierarchy), plus every structured event as an ``i`` instant;
 * **pid 2 — "virtual-time (cluster sim)"**: the simulator's
   :class:`~repro.cluster.TaskSpan` / :class:`~repro.cluster.TransferSpan`
   records, one thread per (trial, node) and per (trial, link) so each
@@ -73,10 +73,11 @@ def chrome_trace(records: Iterable[dict[str, Any]]) -> dict[str, Any]:
     ]
 
     # ---------------------------------------------------------- real time
-    # Records from a parallel campaign carry ctx["worker"] (thread name or
-    # "proc-<pid>"); each worker gets its own lane so overlapping trials
-    # render side by side. Records without a worker (serial campaigns,
-    # campaign-level events) stay on tid 1 "campaign".
+    # Every trial record carries ctx["worker"]: "main" for a serial
+    # campaign's trials, which share tid 1 "campaign" with the campaign's
+    # own events (those carry no worker); otherwise a thread name
+    # ("trial_0", "serve-runner-1"), "proc-<pid>" or a remote worker's
+    # name, each on its own lane so overlapping trials render side by side.
     worker_tids: dict[str, int] = {"main": 1}
 
     def _tid_of(record: dict[str, Any]) -> int:

@@ -2,7 +2,7 @@
 
 A :class:`SpanTracer` hands out context-manager span handles; the tracer
 keeps the open-span stack so nesting (parent/child ids) falls out of
-lexical structure — ``Campaign._run_trial`` opens a ``trial`` span and
+lexical structure — ``execute_trial`` opens a ``trial`` span and
 the framework training loop opens ``rollout`` / ``update`` /
 ``weight_sync`` children inside it without either knowing about the
 other. Timestamps come from ``time.perf_counter()``; finished spans are
@@ -85,12 +85,9 @@ class SpanTracer:
         self,
         emit: Callable[[dict[str, Any]], None] | None = None,
         clock: Callable[[], float] = time.perf_counter,
-        keep: bool = False,
     ) -> None:
         self._emit = emit
         self.clock = clock
-        self.keep = keep
-        self.finished: list[Span] = []
         self._stack: list[Span] = []
         self._next_id = 1
 
@@ -160,8 +157,6 @@ class SpanTracer:
         self._finish(span)
 
     def _finish(self, span: Span) -> None:
-        if self.keep:
-            self.finished.append(span)
         if self._emit is not None:
             self._emit(span.to_record())
 

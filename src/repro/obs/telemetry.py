@@ -1,10 +1,12 @@
 """The telemetry facade handed through the layers.
 
-One :class:`Telemetry` object travels campaign → case study → framework.
+One :class:`Telemetry` object travels trial → case study → framework.
 It bundles the three instruments (event emission, span tracing, meters)
-behind a single handle, injects the ambient *context* (current trial id,
-seed, framework) into every record, and manages the per-trial meter
-registries the campaign pushes and pops around each evaluation.
+behind a single handle and injects the ambient *context* (current trial
+id, seed) into every record. Each trial attempt records into its own
+``Telemetry``; the campaign folds the attempt's records and meters into
+its own with :meth:`Telemetry.merge_records` and
+:meth:`MeterRegistry.merge`.
 
 ``Telemetry.disabled()`` returns the shared :class:`NullTelemetry`,
 whose every operation is a no-op — hot paths guard per-step work with
@@ -30,12 +32,11 @@ class Telemetry:
 
     enabled = True
 
-    def __init__(self, sink: Sink | None = None, keep_spans: bool = False) -> None:
+    def __init__(self, sink: Sink | None = None) -> None:
         self.sink = sink if sink is not None else RingBufferSink()
-        self.tracer = SpanTracer(emit=self._emit, keep=keep_spans)
-        #: campaign-level aggregate meters (per-trial registries merge in)
+        self.tracer = SpanTracer(emit=self._emit)
+        #: a trial's meters, or a campaign's with every attempt's merged in
         self.meters = MeterRegistry()
-        self._meter_stack: list[MeterRegistry] = []
         self._context: dict[str, Any] = {}
 
     # ------------------------------------------------------------- events
@@ -50,38 +51,10 @@ class Telemetry:
         """A context-manager span nested under the innermost open one."""
         return self.tracer.span(name, **fields)
 
-    # ------------------------------------------------------------- meters
-    @property
-    def trial_meters(self) -> MeterRegistry:
-        """The registry instrumented code should write to right now."""
-        return self._meter_stack[-1] if self._meter_stack else self.meters
-
-    def push_meters(self) -> MeterRegistry:
-        """Start a fresh (per-trial) registry; returns it."""
-        registry = MeterRegistry()
-        self._meter_stack.append(registry)
-        return registry
-
-    def pop_meters(self) -> MeterRegistry:
-        """Close the innermost registry, merging it into the aggregate."""
-        registry = self._meter_stack.pop()
-        self.meters.merge(registry)
-        return registry
-
     # ------------------------------------------------------------ context
     def set_context(self, **fields: Any) -> None:
-        """Ambient key/values injected into every record until cleared."""
+        """Ambient key/values injected into every later record."""
         self._context.update(fields)
-
-    def clear_context(self, *names: str) -> None:
-        if not names:
-            self._context.clear()
-        for name in names:
-            self._context.pop(name, None)
-
-    @property
-    def context(self) -> dict[str, Any]:
-        return dict(self._context)
 
     # ------------------------------------------------------------- records
     def emit_record(self, record: dict[str, Any]) -> None:
@@ -102,11 +75,11 @@ class Telemetry:
     ) -> None:
         """Fold a worker's buffered telemetry records into this stream.
 
-        Out-of-band executors (threads, processes) let each trial record
-        into a private sink and ship the records home on the outcome;
-        this folds them in: span ids are re-based onto a freshly
-        reserved block of this tracer's id space (so they cannot collide
-        with home-grown spans — parent links are remapped consistently),
+        Every trial attempt records into a private sink and ships the
+        records home on its outcome; this folds them in: span ids are
+        re-based onto a freshly reserved block of this tracer's id space
+        (so they cannot collide with home-grown spans — parent links are
+        remapped consistently),
         monotonic timestamps are shifted by ``clock_delta`` onto this
         process's ``perf_counter`` clock, and every record is tagged
         with the producing ``worker`` in its context.
@@ -179,20 +152,7 @@ class NullTelemetry(Telemetry):
     def span(self, name: str, **fields: Any) -> _NullSpan:  # type: ignore[override]
         return NULL_TRACER.span(name)
 
-    @property
-    def trial_meters(self) -> NullMeterRegistry:  # type: ignore[override]
-        return NULL_METERS
-
-    def push_meters(self) -> NullMeterRegistry:  # type: ignore[override]
-        return NULL_METERS
-
-    def pop_meters(self) -> NullMeterRegistry:  # type: ignore[override]
-        return NULL_METERS
-
     def set_context(self, **fields: Any) -> None:
-        pass
-
-    def clear_context(self, *names: str) -> None:
         pass
 
     def emit_record(self, record: dict[str, Any]) -> None:

@@ -150,8 +150,6 @@ class AirdropCaseStudy:
     cluster: ClusterSpec = field(default_factory=lambda: paper_testbed(2))
     #: §V-a case-study settings: wind disabled, default altitude interval
     env_kwargs: dict[str, Any] = field(default_factory=dict)
-    #: keep the TrainResult of each evaluation, keyed by trial id
-    keep_results: bool = True
     #: reward level defining "converged" for the time_to_threshold metric
     convergence_threshold: float = -1.0
     #: deterministic fault plan injected into every trial's virtual run
@@ -160,9 +158,6 @@ class AirdropCaseStudy:
     #: episodes stepped per env call by each rollout worker (1 keeps the
     #: historical byte-identical single-env path)
     n_envs: int = 1
-
-    def __post_init__(self) -> None:
-        self.results: dict[int, TrainResult] = {}
 
     def make_spec(self, config: Configuration, seed: int) -> TrainSpec:
         return TrainSpec(
@@ -225,8 +220,6 @@ class AirdropCaseStudy:
         result = self.framework(config).train(
             self.make_spec(config, seed), callback=progress, telemetry=telemetry
         )
-        if self.keep_results and config.trial_id is not None:
-            self.results[config.trial_id] = result
         scale = result.diagnostics.get("scale", 1.0)
         ttt = self._time_to_threshold(result)
         measurements = {

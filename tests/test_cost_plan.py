@@ -35,7 +35,7 @@ class TestPlanEqualsTraining:
     )
     def test_every_table1_row(self, fault_plan):
         study = AirdropCaseStudy(
-            scale=Scale(real_steps=200), n_envs=8, fault_plan=fault_plan, keep_results=False
+            scale=Scale(real_steps=200), n_envs=8, fault_plan=fault_plan
         )
         n_faulted = 0
         for solution in ROWS:

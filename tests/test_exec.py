@@ -10,6 +10,7 @@ constant-liar, telemetry merge).
 
 from __future__ import annotations
 
+import collections
 import json
 import os
 import pickle
@@ -45,7 +46,16 @@ from repro.exec import (
     make_executor,
 )
 from repro.faults import FaultPlan, NodeCrash
-from repro.obs import EVT_TRIAL_RETRIED, RingBufferSink, Telemetry
+from repro.obs import (
+    EVT_CHECKPOINT,
+    EVT_TRIAL_FAILED,
+    EVT_TRIAL_FINISHED,
+    EVT_TRIAL_RETRIED,
+    EVT_TRIAL_STARTED,
+    RingBufferSink,
+    Telemetry,
+    span_tree,
+)
 
 
 # --------------------------------------------------------------- fixtures
@@ -72,6 +82,18 @@ class PicklableCaseStudy:
                 if progress(step, value):
                     return {"reward": value, "time": cost * step / self.curve_points}
         return {"reward": quality + seed * 0.001, "time": cost}
+
+
+class PhasedCaseStudy(PicklableCaseStudy):
+    """Opts into the telemetry keyword: phase spans and a counter."""
+
+    def evaluate(self, config, seed, progress=None, telemetry=None):
+        telem = Telemetry.or_null(telemetry)
+        with telem.span("rollout", iteration=0):
+            telem.meters.counter("env_steps").inc(10)
+        with telem.span("update", iteration=0):
+            pass
+        return super().evaluate(config, seed, progress=progress)
 
 
 class CrashingCaseStudy:
@@ -312,6 +334,9 @@ class TestRetries:
         retried = sink.events(EVT_TRIAL_RETRIED)
         assert len(retried) == 8
         assert all(e["fields"]["status"] == "failed" for e in retried)
+        # both attempts of every trial reach the sink, whatever the executor
+        assert len([s for s in sink.spans() if s["name"] == "trial"]) == 16
+        assert len(sink.events(EVT_TRIAL_FAILED)) == 8
 
     def test_deterministic_failure_burns_attempts_then_fails(self):
         study = PicklableCaseStudy(fail_on={1, 2, 3, 4})
@@ -666,11 +691,43 @@ class TestTelemetryAcrossExecutors:
         assert all(s["ctx"]["worker"].startswith("proc-") for s in trial_spans)
         assert {s["fields"]["trial_id"] for s in trial_spans} == set(range(1, 9))
 
-    def test_serial_path_still_shares_the_campaign_telemetry(self):
+    @staticmethod
+    def recorded(executor):
         sink = RingBufferSink()
-        telem = Telemetry(sink)
-        report = campaign(telemetry=telem).run()
-        trial_spans = [s for s in sink.spans() if s["name"] == "trial"]
-        assert len(trial_spans) == 8
-        assert all("worker" not in (s.get("ctx") or {}) for s in trial_spans)
-        assert report.meta["telemetry"] is not None
+        report = campaign(PhasedCaseStudy(), executor=executor, max_workers=2,
+                          telemetry=Telemetry(sink)).run()
+        return sink.records, report.meta["telemetry"]["counters"]
+
+    @staticmethod
+    def trees_per_trial(records):
+        spans = collections.defaultdict(list)
+        for record in records:
+            if record["type"] == "span":
+                spans[record["ctx"]["trial_id"]].append(record)
+        return {trial: span_tree(group) for trial, group in spans.items()}
+
+    @pytest.mark.parametrize("executor, worker_prefix", [
+        (None, "main"),
+        ("thread", "trial"),
+        (ProcessExecutor(2, mp_context="fork"), "proc-"),
+    ], ids=["serial", "thread", "process"])
+    def test_every_executor_records_the_same_telemetry(self, executor, worker_prefix):
+        serial_records, serial_counters = self.recorded(None)
+        records, counters = self.recorded(executor)
+        kinds = collections.Counter((r["type"], r["name"]) for r in records)
+        assert kinds == collections.Counter(
+            (r["type"], r["name"]) for r in serial_records
+        )
+        assert self.trees_per_trial(records) == self.trees_per_trial(serial_records)
+        assert len(self.trees_per_trial(records)) == 8
+        assert counters == serial_counters
+        assert counters["env_steps"] == 80
+        trial_events = {EVT_TRIAL_STARTED, EVT_CHECKPOINT, EVT_TRIAL_FINISHED}
+        trial_records = [
+            r for r in records if r["type"] == "span" or r["name"] in trial_events
+        ]
+        assert len(trial_records) == 8 * (3 + 3 + 2)
+        workers = {r["ctx"]["worker"] for r in trial_records}
+        assert all(w.startswith(worker_prefix) for w in workers)
+        if executor is None:
+            assert workers == {"main"}

@@ -78,13 +78,17 @@ class SyntheticCaseStudy:
 class TelemetryAwareCaseStudy(SyntheticCaseStudy):
     """A study that opts into the telemetry keyword and opens phase spans."""
 
+    def __init__(self, fail_on=None, curve_points=3):
+        super().__init__(fail_on, curve_points)
+        self.telemetry_seen = []
+
     def evaluate(self, config, seed, progress=None, telemetry=None):
-        self.telemetry_seen = telemetry
+        self.telemetry_seen.append(telemetry)
         telem = Telemetry.or_null(telemetry)
         with telem.span("rollout", iteration=0):
-            telem.trial_meters.counter("env_steps").inc(10)
+            telem.meters.counter("env_steps").inc(10)
         with telem.span("update", iteration=0):
-            telem.trial_meters.histogram("update_s").observe(0.5)
+            telem.meters.histogram("update_s").observe(0.5)
         return super().evaluate(config, seed, progress=progress)
 
 
@@ -155,10 +159,11 @@ class TestSpanTracer:
         assert rec["fields"]["extra"] == "x"
 
     def test_span_set_fields(self):
-        tracer = SpanTracer(keep=True)
+        sink = RingBufferSink()
+        tracer = SpanTracer(emit=sink.emit)
         with tracer.span("s") as span:
             span.set(steps=7)
-        assert tracer.finished[0].fields["steps"] == 7
+        assert sink.records[0]["fields"]["steps"] == 7
 
 
 # -------------------------------------------------------------------- meters
@@ -262,18 +267,6 @@ class TestTelemetry:
         event, span = sink.records
         assert event["fields"] == {"trial_id": 7, "x": 1}
         assert span["ctx"] == {"trial_id": 7}
-        telem.clear_context("trial_id")
-        telem.event("pong")
-        assert sink.records[-1]["fields"] == {}
-
-    def test_meter_stack_merges_into_aggregate(self):
-        telem = Telemetry(RingBufferSink())
-        trial = telem.push_meters()
-        assert telem.trial_meters is trial
-        trial.counter("env_steps").inc(5)
-        telem.pop_meters()
-        assert telem.meters.snapshot()["counters"]["env_steps"] == 5
-        assert telem.trial_meters is telem.meters
 
     def test_emit_record_attaches_context(self):
         sink = RingBufferSink()
@@ -289,9 +282,7 @@ class TestTelemetry:
         telem.event("x", a=1)
         with telem.span("s") as span:
             span.set(a=1)
-        telem.trial_meters.counter("n").inc()
-        telem.push_meters()
-        telem.pop_meters()
+        telem.meters.counter("n").inc()
         telem.emit_records([{"type": "vspan"}])
         telem.close()
         assert Telemetry.or_null(None) is NULL_TELEMETRY
@@ -364,10 +355,17 @@ class TestCampaignTelemetry:
         assert agg["histograms"]["update_s"]["count"] == 8
 
     def test_telemetry_kwarg_reaches_opted_in_case_study(self):
-        telem = Telemetry(RingBufferSink())
+        sink = RingBufferSink()
+        telem = Telemetry(sink)
         study = TelemetryAwareCaseStudy()
         self.run_campaign(study, telemetry=telem)
-        assert study.telemetry_seen is telem
+        # each trial records into its own enabled Telemetry ...
+        seen = study.telemetry_seen
+        assert len({id(t) for t in seen}) == len(seen) == 8
+        assert all(t.enabled and t is not telem for t in seen)
+        # ... whose spans the campaign folds into its sink
+        rollouts = [s for s in sink.spans() if s["name"] == "rollout"]
+        assert sorted(s["ctx"]["trial_id"] for s in rollouts) == list(range(1, 9))
 
     def test_legacy_case_study_never_sees_telemetry(self):
         # SyntheticCaseStudy has no telemetry kwarg: must not be passed one

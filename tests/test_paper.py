@@ -128,7 +128,6 @@ class TestCaseStudy:
             assert key in out
         assert out["computation_time"] > 0
         assert out["power_consumption"] > 0
-        assert 11 in study.results  # TrainResult retained
 
     def test_progress_callback_forwarded(self):
         study = AirdropCaseStudy(scale=Scale(real_steps=4000))

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.core import (
@@ -80,13 +79,6 @@ class TestParetoFrontRanking:
         # more axes → weakly larger front
         front2 = ParetoFrontRanking(["reward", "time"]).rank(table).front_ids()
         assert set(front2) <= set(ranking.front_ids())
-
-    def test_front_mask_matches_front_ids(self):
-        table = make_table(PAPERISH)
-        pr = ParetoFrontRanking(["reward", "power"])
-        mask = pr.front_mask(table)
-        ids = [t.trial_id for t, m in zip(table.completed(), mask) if m]
-        assert sorted(ids) == pr.rank(table).front_ids()
 
     def test_failed_trials_excluded(self):
         table = make_table(PAPERISH)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.core import (
@@ -32,10 +31,6 @@ def trial(i, reward, time_, status=TrialStatus.COMPLETED):
 
 
 class TestTrialResult:
-    def test_objective_vector_order(self):
-        t = trial(1, -0.5, 60.0)
-        assert np.allclose(t.objective_vector(metrics()), [-0.5, 60.0])
-
     def test_ok_flag(self):
         assert trial(1, 0, 0).ok
         assert not trial(1, 0, 0, status=TrialStatus.FAILED).ok
